@@ -19,7 +19,7 @@ for iv in ivs:
 cert = certify_euclidean(fld, s)
 print(f"\ncover found, minimal k_max = {cert.k_max}")
 print(f"chain: {cert.chain}")
-print(f"independent replay: {replay_chain(fld.d, fld.D, list(cert.chain))}")
+print(f"independent replay: {replay_chain(fld.D, list(cert.chain))}")
 
 # sufficiency: taking S = all primes below this bound always works
 for d in (5, 67, 163):

@@ -193,7 +193,6 @@ def certificate_from_obj(obj: Any) -> Certificate:
                 xi0=KElement(int(e["a"]), int(e["b"]), int(e["c"]), fld),
                 case_tag=CaseTag(payload["case_tag"]),
                 bound=_read_frac(payload["bound"]),
-                threshold_ok=True,
             )
         if kind == "exceptional-bundle":
             (p,) = s.primes
@@ -255,7 +254,9 @@ def verify_certificate_obj(obj: Any) -> bool:
         for j, k in cert.chain:
             if not (0 <= j <= k and math.gcd(j, k) == 1 and s_part_strip(k, cert.s) == 1):
                 return False
-        return replay_chain(cert.d, fld.D, list(cert.chain))
+        if cert.k_max != max((k for _, k in cert.chain), default=0):
+            return False
+        return replay_chain(fld.D, list(cert.chain))
     if isinstance(cert, DiskCertificate):
         fld = make_field(cert.d)
         # each claimed radius must be within what the lemmas afford

@@ -154,12 +154,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    obj = load_certificate_obj(args.certificate)
-    try:
-        ok = verify_certificate_obj(obj)
-    except CertificateParseError:
-        raise
-    if ok:
+    if verify_certificate_obj(load_certificate_obj(args.certificate)):
         print(f"{args.certificate}: valid")
         return EXIT_OK
     print(f"{args.certificate}: verification FAILED")

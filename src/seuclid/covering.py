@@ -1,15 +1,17 @@
 """Positive certification by interval covering.
 
 Builds the interval family I_j^k = ((j - sqrt(3/D))/k, (j + sqrt(3/D))/k)
-for S-smooth k, checks exact coverage of the closed unit interval by a
-greedy sweep, applies the discriminant sufficiency bound, and computes
-the uncovered residual gaps used in the exceptional-case analysis.
+for S-smooth k, checks exact coverage of the closed unit interval,
+applies the discriminant sufficiency bound, and computes the uncovered
+residual gaps used in the exceptional-case analysis.  One exact sweep
+(`_sweep`) answers every coverage question: cover search, chain replay,
+residual gaps and the gap-line pieces in :mod:`seuclid.disks`.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import QuadSurd, SSet, SurdValue, surd_cmp
@@ -39,6 +41,9 @@ class Interval:
     k: int
     lo: SurdValue
     hi: SurdValue
+
+    lo_closed = False
+    hi_closed = False
 
     @classmethod
     def make(cls, j: int, k: int, D: int) -> "Interval":
@@ -100,57 +105,80 @@ def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
     return result
 
 
+def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
+    """One left-to-right pass deciding which parts of [zero, one] the
+    items cover.
+
+    Items carry `lo`, `hi`, `lo_closed` and `hi_closed`; `cmp` is a
+    three-way comparison of their endpoints.  The covered prefix is
+    [zero, reach), plus the point reach when `covered`.  An item that
+    meets the prefix extends it, in any order; one that does not opens a
+    gap and starts a new prefix.  In order of left end (closed before open on ties) the gaps are
+    exactly the maximal uncovered pieces of [zero, one], each a
+    (start, end) pair whose endpoints belong to it unless an item covers
+    them.  Returns (reach raisers, gaps); with `first_gap_only` it stops
+    at the first gap.
+    """
+    raisers = []
+    gaps = []
+    reach, covered = zero, False
+    for item in items:
+        c = cmp(item.lo, reach)
+        if c > 0 or (c == 0 and not (covered or item.lo_closed)):
+            if cmp(item.lo, one) > 0:
+                break
+            gaps.append((reach, item.lo))
+            if first_gap_only:
+                return raisers, gaps
+        c = cmp(item.hi, reach)
+        if c > 0:
+            reach, covered = item.hi, item.hi_closed
+            raisers.append(item)
+        elif c == 0 and item.hi_closed:
+            covered = True
+    c = cmp(reach, one)
+    if c < 0 or (c == 0 and not covered):
+        gaps.append((reach, one))
+    return raisers, gaps
+
+
 def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | FailureAt:
-    """Greedy sweep with exact surd comparisons.
+    """Greedy cover with exact surd comparisons.
 
     The reach starts at 0, which must lie strictly inside some interval;
-    each step extends by the interval with lo < reach maximizing hi;
-    success once the reach exceeds 1.  Success covers the full closed
-    interval [0, 1].
+    each step extends it by the interval with lo < reach maximizing hi,
+    which is the last reach raiser of the sweep starting below the
+    reach; success once the reach exceeds 1.  Success covers the full
+    closed interval [0, 1].
     """
     if not ivs:
         return FailureAt(SurdValue(0, 0, 1, 3))
     D = ivs[0].lo.D
-    reach = SurdValue.from_rational(0, D)
+    zero = SurdValue.from_rational(0, D)
     one = SurdValue.from_rational(1, D)
+    raisers, gaps = _sweep(ivs, surd_cmp, zero, one, first_gap_only=True)
+    if gaps:
+        return FailureAt(gaps[0][0])
     chain: list[Interval] = []
-    active: list[Interval] = []
+    reach = zero
     i = 0
     while surd_cmp(reach, one) <= 0:
-        while i < len(ivs) and surd_cmp(ivs[i].lo, reach) < 0:
-            active.append(ivs[i])
+        while i + 1 < len(raisers) and surd_cmp(raisers[i + 1].lo, reach) < 0:
             i += 1
-        active = [iv for iv in active if surd_cmp(iv.hi, reach) > 0]
-        if not active:
-            return FailureAt(reach)
-        best = active[0]
-        for iv in active[1:]:
-            if surd_cmp(iv.hi, best.hi) > 0:
-                best = iv
-        chain.append(best)
-        reach = best.hi
+        chain.append(raisers[i])
+        reach = raisers[i].hi
     k_max = max(iv.k for iv in chain)
     return CoverCertificate(d=d, s=s, k_max=k_max, chain=tuple((iv.j, iv.k) for iv in chain))
 
 
-def replay_chain(d: int, D: int, chain: list[tuple[int, int]]) -> bool:
-    """Independently re-check a certificate chain with surd comparisons only."""
-    if not chain:
-        return False
+def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
+    """Independently re-check a certificate chain with surd comparisons
+    only: the sweep runs over the chain's intervals as given and rejects
+    at the first gap, so any order that covers [0, 1] link by link passes."""
+    ivs = [Interval.make(j, k, D) for j, k in chain]
     zero = SurdValue.from_rational(0, D)
     one = SurdValue.from_rational(1, D)
-    j0, k0 = chain[0]
-    first = Interval.make(j0, k0, D)
-    if not (surd_cmp(first.lo, zero) < 0 < surd_cmp(first.hi, zero)):
-        return False
-    reach = first.hi
-    for j, k in chain[1:]:
-        iv = Interval.make(j, k, D)
-        if surd_cmp(iv.lo, reach) >= 0:
-            return False
-        if surd_cmp(iv.hi, reach) > 0:
-            reach = iv.hi
-    return surd_cmp(reach, one) > 0
+    return not _sweep(ivs, surd_cmp, zero, one, first_gap_only=True)[1]
 
 
 def theorem2_bound(fld: QuadField) -> int:
@@ -189,48 +217,6 @@ def certify_euclidean(
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     """Exact maximal closed gaps of [0, 1] left uncovered by the open
     intervals with S-smooth k <= k_max, sorted left to right."""
-    D = fld.D
-    zero = SurdValue.from_rational(0, D)
-    one = SurdValue.from_rational(1, D)
-    ivs = [
-        iv
-        for iv in intervals(fld, s, k_max)
-        if surd_cmp(iv.hi, zero) > 0 and surd_cmp(iv.lo, one) < 0
-    ]
-    gaps: list[tuple[SurdValue, SurdValue]] = []
-    pos = zero
-    while surd_cmp(pos, one) <= 0:
-        containing = [iv for iv in ivs if surd_cmp(iv.lo, pos) < 0 < surd_cmp(iv.hi, pos)]
-        if containing:
-            best = containing[0].hi
-            for iv in containing[1:]:
-                if surd_cmp(iv.hi, best) > 0:
-                    best = iv.hi
-            pos = best
-            continue
-        starts = [iv for iv in ivs if surd_cmp(iv.lo, pos) >= 0]
-        if not starts:
-            gaps.append((pos, one))
-            break
-        nlo = starts[0].lo
-        for iv in starts[1:]:
-            if surd_cmp(iv.lo, nlo) < 0:
-                nlo = iv.lo
-        if surd_cmp(nlo, one) >= 0:
-            gaps.append((pos, one))
-            break
-        gaps.append((pos, nlo))
-        ext = [iv for iv in ivs if surd_cmp(iv.lo, nlo) <= 0 < surd_cmp(iv.hi, nlo)]
-        if not ext:
-            # isolated touching point; resume just past it via intervals
-            # opening at nlo (lo == nlo)
-            ext = [iv for iv in ivs if surd_cmp(iv.lo, nlo) == 0]
-            if not ext:
-                gaps[-1] = (gaps[-1][0], one)
-                break
-        best = ext[0].hi
-        for iv in ext[1:]:
-            if surd_cmp(iv.hi, best) > 0:
-                best = iv.hi
-        pos = best
-    return Residual(tuple(gaps))
+    zero = SurdValue.from_rational(0, fld.D)
+    one = SurdValue.from_rational(1, fld.D)
+    return Residual(tuple(_sweep(intervals(fld, s, k_max), surd_cmp, zero, one)[1]))

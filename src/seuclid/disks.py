@@ -7,10 +7,11 @@ gap-line verifier used for d = 10 and d = 15.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import Residual, residual
+from .covering import Residual, _sweep, residual
 from .exact import QuadSurd, SSet, s_part_strip
 from .field import KElement, QuadField, denom_s, make_field, s_norm
 
@@ -176,10 +177,20 @@ class BoundPiece:
 @dataclass(frozen=True)
 class PointPiece:
     """An explicit alpha for a single point x on the gap line, checked by
-    exact S-norm evaluation."""
+    exact S-norm evaluation; it covers the closed degenerate interval
+    [x, x]."""
 
     x: Fraction
     alpha: KElement
+
+    lo_closed = True
+    hi_closed = True
+
+    @property
+    def lo(self) -> QuadSurd:
+        return QuadSurd(self.x)
+
+    hi = lo
 
 
 @dataclass(frozen=True)
@@ -198,35 +209,8 @@ def _line_point(fld: QuadField, x: Fraction, y0: Fraction) -> KElement:
     )
 
 
-def _covers_closed_unit(
-    intervals: list[tuple[QuadSurd, QuadSurd, bool, bool]], points: list[QuadSurd]
-) -> bool:
-    """Do the intervals (with open/closed endpoint flags) plus isolated
-    points cover the closed interval [0, 1]?"""
-    one = QuadSurd(Fraction(1))
-
-    def covered(x: QuadSurd) -> bool:
-        if any(pt == x for pt in points):
-            return True
-        for lo, hi, lc, hc in intervals:
-            if (lo < x or (lc and lo == x)) and (x < hi or (hc and x == hi)):
-                return True
-        return False
-
-    pos = QuadSurd(Fraction(0))
-    for _ in range(2 * len(intervals) + 2):
-        if not covered(pos):
-            return False
-        if pos >= one:
-            return True
-        ext = None
-        for lo, hi, _lc, _hc in intervals:
-            if lo <= pos < hi and (ext is None or hi > ext):
-                ext = hi
-        if ext is None:
-            return False
-        pos = ext
-    return False
+def _quad_cmp(x: QuadSurd, y: QuadSurd) -> int:
+    return (x - y).sign()
 
 
 def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
@@ -241,14 +225,11 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
         return False
     if s_part_strip(cert.y0.denominator, s) != cert.y0.denominator:
         return False  # y0 denominator must be coprime to S
-    intervals: list[tuple[QuadSurd, QuadSurd, bool, bool]] = []
-    points: list[QuadSurd] = []
     for piece in cert.pieces:
         if isinstance(piece, PointPiece):
             xi = _line_point(fld, piece.x, cert.y0)
             if s_norm(xi - piece.alpha, s) >= 1:
                 return False
-            points.append(QuadSurd(piece.x))
             continue
         denom_s(piece.alpha, s)  # alpha must be an S-integer
         if piece.a2 < 0:
@@ -263,8 +244,11 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
             else:
                 if not value <= 1:
                     return False
-        intervals.append((piece.lo, piece.hi, piece.lo_closed, piece.hi_closed))
-    return _covers_closed_unit(intervals, points)
+    # in order of left end, closed before open on ties
+    order = functools.cmp_to_key(lambda u, v: _quad_cmp(u.lo, v.lo) or v.lo_closed - u.lo_closed)
+    pieces = sorted(cert.pieces, key=order)
+    zero, one = QuadSurd(Fraction(0)), QuadSurd(Fraction(1))
+    return not _sweep(pieces, _quad_cmp, zero, one, first_gap_only=True)[1]
 
 
 # --- built-in certificates -------------------------------------------------

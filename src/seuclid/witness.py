@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .disks import EXCEPTIONAL_PAIRS
 from .exact import SSet, is_prime, legendre, s_part_strip, squarefree
 from .field import KElement, make_field
 
@@ -24,8 +25,6 @@ __all__ = [
     "witness_bound",
     "oracle_min_snorm",
 ]
-
-EXCEPTIONAL_ODD_PAIRS = {(15, 3), (15, 5), (35, 5), (35, 7)}
 
 
 class CaseTag(str, enum.Enum):
@@ -45,7 +44,6 @@ class WitnessCertificate:
     xi0: KElement
     case_tag: CaseTag
     bound: Fraction
-    threshold_ok: bool
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,9 @@ def certify_non_euclidean(d: int, p: int) -> WitnessCertificate | NotApplicable 
         return dispatch
     tag, xi0, bound = dispatch
     if bound >= 1:
-        return WitnessCertificate(d=d, p=p, xi0=xi0, case_tag=tag, bound=bound, threshold_ok=True)
+        return WitnessCertificate(d=d, p=p, xi0=xi0, case_tag=tag, bound=bound)
     reason = f"lower bound {bound} < 1"
-    if p != 2 and (d, p) in EXCEPTIONAL_ODD_PAIRS:
+    if p != 2 and (d, p) in EXCEPTIONAL_PAIRS:
         reason += " (exceptional pair, resolved by disk certificates)"
     return Inconclusive(reason=reason, case_tag=tag, bound=bound)
 

@@ -1,4 +1,6 @@
 """Certificate serialization round-trips and file-level verification."""
+import copy
+import hashlib
 import json
 
 import pytest
@@ -12,9 +14,9 @@ from seuclid.certs import (
     save_certificate,
     verify_certificate_obj,
 )
-from seuclid.covering import certify_euclidean
+from seuclid.covering import certify_euclidean, theorem2_bound
 from seuclid.disks import certify_exceptional, table_disk_certificate
-from seuclid.exact import SSet
+from seuclid.exact import SSet, primes_below, squarefree
 from seuclid.field import make_field
 from seuclid.witness import certify_non_euclidean
 
@@ -52,6 +54,34 @@ def test_verify_rejects_broken_chain():
     assert verify_certificate_obj(obj)
     obj["payload"]["chain"].pop(1)
     assert not verify_certificate_obj(obj)
+
+
+def test_verify_rejects_false_k_max():
+    obj = certificate_to_obj(certify_euclidean(make_field(67), SSet.of(2, 3)))
+    assert obj["payload"]["k_max"] == 4
+    for k_max in (3, 5, 8, 64):
+        forged = copy.deepcopy(obj)
+        forged["payload"]["k_max"] = k_max
+        assert not verify_certificate_obj(forged)
+
+
+# sha256 over the canonical JSON (one line each) of the Theorem-2 cover
+# certificates for squarefree d <= 300 and the three gap-line bundles
+PINNED_DIGEST = "a9e6fd8ac08235e68debb62ffa56ae07e71a14fca7a908bfd2603d57b27f8b37"
+
+
+def test_certificate_bytes_pinned():
+    certs = []
+    for d in range(1, 301):
+        if squarefree(d):
+            fld = make_field(d)
+            certs.append(certify_euclidean(fld, SSet.from_iterable(primes_below(theorem2_bound(fld)))))
+    certs += [certify_exceptional(d, p) for d, p in ((10, 2), (15, 3), (15, 5))]
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update(canonical_json(certificate_to_obj(cert)).encode() + b"\n")
+    assert len(certs) == 186
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 def test_verify_rejects_non_smooth_interval():

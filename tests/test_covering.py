@@ -18,7 +18,7 @@ from seuclid.covering import (
     residual,
     theorem2_bound,
 )
-from seuclid.exact import QuadSurd, SSet, surd_cmp
+from seuclid.exact import QuadSurd, SSet, SurdValue, squarefree, surd_cmp
 from seuclid.field import make_field
 
 S0 = SSet()
@@ -58,7 +58,7 @@ def test_covers_unit_d67():
     cert = covers_unit(intervals(make_field(67), S23, 4), d=67, s=S23)
     assert isinstance(cert, CoverCertificate)
     assert cert.k_max == 4
-    assert replay_chain(67, 67, list(cert.chain))
+    assert replay_chain(67, list(cert.chain))
 
 
 def test_covers_unit_failure_d10():
@@ -90,12 +90,14 @@ def test_theorem2_bound():
 def test_replay_rejects_broken_chain():
     cert = covers_unit(intervals(make_field(67), S23, 4), d=67, s=S23)
     chain = list(cert.chain)
-    assert replay_chain(67, 67, chain)
+    assert replay_chain(67, chain)
     for i in range(len(chain)):
         broken = chain[:i] + chain[i + 1:]
         # removing any link must break the sweep (each link is load-bearing)
-        assert not replay_chain(67, 67, broken)
-    assert not replay_chain(67, 67, [])
+        assert not replay_chain(67, broken)
+    assert not replay_chain(67, [])
+    # links run in the order given: reversed, the first link misses 0
+    assert not replay_chain(67, chain[::-1])
 
 
 def test_residual_empty_when_covered():
@@ -163,3 +165,46 @@ def test_cover_implies_close_smooth_multiple(y):
         if QuadSurd(frac) < width or QuadSurd(frac) > 1 - width:
             return
     pytest.fail(f"no smooth multiple of {y} lands near an integer")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([d for d in range(1, 201) if squarefree(d)]),
+    st.sets(st.sampled_from((2, 3, 5, 7))),
+    st.integers(min_value=1, max_value=64),
+)
+def test_sweep_properties(d, primes, k_max):
+    """covers_unit, replay_chain and residual agree, and the residual gaps
+    are the sorted, disjoint, maximal uncovered pieces of [0, 1]."""
+    fld = make_field(d)
+    s = SSet.from_iterable(primes)
+    ivs = intervals(fld, s, k_max)
+    result = covers_unit(ivs, d=d, s=s)
+    gaps = residual(fld, s, k_max).gaps
+    assert (gaps == ()) == isinstance(result, CoverCertificate)
+    zero = SurdValue.from_rational(0, fld.D)
+    one = SurdValue.from_rational(1, fld.D)
+    if isinstance(result, CoverCertificate):
+        assert replay_chain(fld.D, list(result.chain))
+        # greedy: each link is the first interval starting below the reach
+        # with the largest right end
+        reach = zero
+        for link in result.chain:
+            best = None
+            for iv in ivs:
+                if iv.lo < reach and (best is None or iv.hi > best.hi):
+                    best = iv
+            assert link == (best.j, best.k)
+            reach = best.hi
+    else:
+        assert result.at == gaps[0][0]
+    for (_, hi), (lo, _) in zip(gaps, gaps[1:]):
+        assert surd_cmp(hi, lo) < 0
+    for lo, hi in gaps:
+        assert surd_cmp(zero, lo) <= 0 <= surd_cmp(hi, lo) and surd_cmp(hi, one) <= 0
+        # maximal: each end is 0 or 1, or where an interval ends or starts
+        assert lo == zero or any(iv.hi == lo for iv in ivs)
+        assert hi == one or any(iv.lo == hi for iv in ivs)
+        for iv in ivs:
+            for x in (lo, hi):
+                assert not surd_cmp(iv.lo, x) < 0 < surd_cmp(iv.hi, x)

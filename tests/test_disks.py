@@ -1,5 +1,7 @@
 """Disk-cover verification and gap-line certificate tests."""
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from seuclid.disks import (
     DiskCertificate,
     ExceptionalBundle,
     NotExceptional,
+    PointPiece,
     boost_radius,
     certify_exceptional,
     find_uncovered_cell,
@@ -20,7 +23,7 @@ from seuclid.disks import (
     verify_gap_line,
 )
 from seuclid.field import KElement, make_field, s_norm
-from seuclid.exact import SSet
+from seuclid.exact import QuadSurd, SSet
 
 F35 = make_field(35)
 S5 = SSet.of(5)
@@ -123,6 +126,32 @@ def test_gap_line_certificates_verify():
     assert verify_gap_line(make_field(10), SSet.of(2), gap_line_certificate(10, 2))
     assert verify_gap_line(make_field(15), SSet.of(3), gap_line_certificate(15, 3))
     assert verify_gap_line(make_field(15), SSet.of(5), gap_line_certificate(15, 5))
+
+
+@pytest.mark.parametrize("d, p", [(10, 2), (15, 3), (15, 5)])
+def test_gap_line_verifies_in_any_piece_order(d, p):
+    fld, s = make_field(d), SSet.of(p)
+    cert = gap_line_certificate(d, p)
+    for pieces in itertools.permutations(cert.pieces):
+        assert verify_gap_line(fld, s, replace(cert, pieces=pieces))
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1)])
+def test_gap_line_rejects_missing_point_piece(x):
+    cert = gap_line_certificate(15, 3)
+    pieces = tuple(pc for pc in cert.pieces if not (isinstance(pc, PointPiece) and pc.x == x))
+    assert len(pieces) == len(cert.pieces) - 1
+    assert not verify_gap_line(make_field(15), SSet.of(3), replace(cert, pieces=pieces))
+
+
+def test_gap_line_ignores_pieces_beyond_one():
+    # a valid convex piece on (11/10, 6/5), past the end of [0, 1]
+    cert = gap_line_certificate(10, 2)
+    beyond = replace(
+        cert.pieces[1],
+        lo=QuadSurd(Fraction(11, 10)), hi=QuadSurd(Fraction(6, 5)), lo_closed=False, hi_closed=False,
+    )
+    assert verify_gap_line(make_field(10), SSet.of(2), replace(cert, pieces=cert.pieces + (beyond,)))
 
 
 def test_gap_line_point_checks_are_tight():
