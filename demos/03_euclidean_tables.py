@@ -4,8 +4,7 @@ Sweeps squarefree d for several prime sets S and prints the certified
 Euclidean values.  The empty set recovers the classical five fields;
 growing S grows the list quickly.
 """
-from seuclid import SSet
-from seuclid.cli import survey_rows
+from seuclid import SSet, survey_rows
 
 for primes, d_max in (((), 11), ((2,), 23), ((2, 3), 71), ((2, 3, 5), 143)):
     s = SSet.from_iterable(primes)

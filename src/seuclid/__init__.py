@@ -25,10 +25,9 @@ from .field import (  # noqa: F401
 )
 from .covering import (  # noqa: F401
     CoverCertificate,
-    FailureAt,
-    Inconclusive,
     Interval,
     Residual,
+    Verdict,
     certify_euclidean,
     covers_unit,
     intervals,
@@ -40,7 +39,6 @@ from .disks import (  # noqa: F401
     DiskCertificate,
     ExceptionalBundle,
     GapLineCert,
-    NotExceptional,
     boost_radius,
     certify_exceptional,
     verify_disk_cert,
@@ -48,9 +46,9 @@ from .disks import (  # noqa: F401
 )
 from .witness import (  # noqa: F401
     CaseTag,
-    NotApplicable,
     OracleReport,
     WitnessCertificate,
     certify_non_euclidean,
     oracle_min_snorm,
 )
+from .classify import decide, survey_rows  # noqa: F401

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .covering import CoverCertificate, Residual, replay_chain
+from .covering import CoverCertificate, Residual, Verdict, replay_chain
 from .disks import (
     BoundPiece,
     Disk,
@@ -29,7 +28,7 @@ from .disks import (
 )
 from .exact import QuadSurd, SSet, SurdValue, s_part_strip
 from .field import KElement, make_field
-from .witness import CaseTag, NotApplicable, WitnessCertificate, witness_bound
+from .witness import CaseTag, WitnessCertificate, witness_bound
 
 SCHEMA_VERSION = "1.0"
 
@@ -270,7 +269,7 @@ def verify_certificate_obj(obj: Any) -> bool:
         return verify_disk_cert(cert)
     if isinstance(cert, WitnessCertificate):
         dispatch = witness_bound(cert.d, cert.p)
-        if isinstance(dispatch, NotApplicable):
+        if isinstance(dispatch, Verdict):
             return False
         tag, xi0, bound = dispatch
         return (

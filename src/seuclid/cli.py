@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .certs import (
@@ -17,12 +16,12 @@ from .certs import (
     save_certificate,
     verify_certificate_obj,
 )
-from .covering import CoverCertificate, certify_euclidean
-from .disks import EXCEPTIONAL_PAIRS, certify_exceptional
+from .classify import decide, survey_rows
+from .covering import Verdict
 from .exact import SSet, is_prime, squarefree
-from .field import make_field
+from .field import KElement, make_field
 from .render import render_certificate
-from .witness import NotApplicable, WitnessCertificate, certify_non_euclidean, oracle_min_snorm, witness_bound
+from .witness import oracle_min_snorm, witness_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,39 +52,6 @@ def _check_d(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # euclidean-cover | euclidean-exceptional | non-euclidean | not-applicable | unknown
-    certificate: object | None
-    detail: str
-
-
-def decide(d: int, s: SSet, k_max: int | None = None) -> Verdict:
-    """The check pipeline: covering, then the exceptional certificates,
-    then the witness lower bounds (the latter two for singleton S)."""
-    fld = make_field(d)
-    cover = certify_euclidean(fld, s, k_max)
-    if isinstance(cover, CoverCertificate):
-        return Verdict("euclidean-cover", cover, f"cover certificate, minimal k_max {cover.k_max}")
-    detail = cover.reason
-    if len(s) == 1:
-        (p,) = s.primes
-        if (d, p) in EXCEPTIONAL_PAIRS:
-            cert = certify_exceptional(d, p)
-            return Verdict("euclidean-exceptional", cert, f"exceptional certificate for ({d}, {p})")
-        outcome = certify_non_euclidean(d, p)
-        if isinstance(outcome, WitnessCertificate):
-            return Verdict(
-                "non-euclidean",
-                outcome,
-                f"witness {outcome.xi0} with bound {outcome.bound} ({outcome.case_tag.value})",
-            )
-        if isinstance(outcome, NotApplicable):
-            return Verdict("not-applicable", None, outcome.reason)
-        detail = f"{detail}; {outcome.reason}"
-    return Verdict("unknown", None, detail)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     d = _check_d(args.d)
     s = _parse_s(args.s)
@@ -98,7 +64,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "unknown": "Unknown",
     }[verdict.kind]
     print(f"Q(sqrt(-{d})) with S = {s}: {label}")
-    print(f"  {verdict.detail}")
+    print(f"  {verdict.reason}")
     if verdict.kind == "unknown":
         return EXIT_UNKNOWN
     if args.cert:
@@ -107,19 +73,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         save_certificate(verdict.certificate, args.cert)
         print(f"  certificate written to {args.cert}")
     return EXIT_OK
-
-
-def survey_rows(s: SSet, d_max: int) -> list[dict]:
-    rows = []
-    for d in range(1, d_max + 1):
-        if not squarefree(d):
-            continue
-        verdict = decide(d, s)
-        row = {"d": d, "s": list(s.primes), "verdict": verdict.kind}
-        if isinstance(verdict.certificate, CoverCertificate):
-            row["k_max"] = verdict.certificate.k_max
-        rows.append(row)
-    return rows
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -144,7 +97,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     s = _parse_s(args.s)
     verdict = decide(d, s, args.kmax)
     if verdict.certificate is None:
-        print(f"no certificate to render: {verdict.detail}", file=sys.stderr)
+        print(f"no certificate to render: {verdict.reason}", file=sys.stderr)
         return EXIT_UNKNOWN
     svg = render_certificate(verdict.certificate)
     with open(args.output, "w") as fh:
@@ -166,11 +119,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if not is_prime(args.p):
         raise InputError(f"{args.p} is not prime")
     dispatch = witness_bound(d, args.p)
-    if isinstance(dispatch, NotApplicable):
-        fld = make_field(d)
-        from .field import KElement
-
-        xi0 = KElement(1, 1, 2, fld)
+    if isinstance(dispatch, Verdict):
+        xi0 = KElement(1, 1, 2, make_field(d))
     else:
         _tag, xi0, _bound = dispatch
     report = oracle_min_snorm(d, args.p, xi0, args.nmax, args.coeff)
@@ -225,10 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CertificateParseError as exc:
+    except (InputError, ValueError, CertificateParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

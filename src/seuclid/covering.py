@@ -20,8 +20,7 @@ from .field import QuadField
 __all__ = [
     "Interval",
     "CoverCertificate",
-    "FailureAt",
-    "Inconclusive",
+    "Verdict",
     "Residual",
     "intervals",
     "covers_unit",
@@ -66,16 +65,19 @@ class CoverCertificate:
 
 
 @dataclass(frozen=True)
-class FailureAt:
-    """Greedy sweep failure: `at` is the supremum reached, the first
-    uncovered point."""
+class Verdict:
+    """The outcome of a decision, with the reason for it.
 
-    at: SurdValue
+    The certifiers return one with `certificate=None` when they produce
+    no certificate: kind "not-applicable" when p splits, "unknown"
+    otherwise.  A failed `covers_unit` sets `at` to the first uncovered
+    point.
+    """
 
-
-@dataclass(frozen=True)
-class Inconclusive:
+    kind: str  # euclidean-cover | euclidean-exceptional | non-euclidean | not-applicable | unknown
+    certificate: object | None
     reason: str
+    at: SurdValue | None = None
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
     return raisers, gaps
 
 
-def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | FailureAt:
+def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | Verdict:
     """Greedy cover with exact surd comparisons.
 
     The reach starts at 0, which must lie strictly inside some interval;
@@ -152,13 +154,13 @@ def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCe
     closed interval [0, 1].
     """
     if not ivs:
-        return FailureAt(SurdValue(0, 0, 1, 3))
+        return Verdict("unknown", None, "no intervals to cover [0, 1]")
     D = ivs[0].lo.D
     zero = SurdValue.from_rational(0, D)
     one = SurdValue.from_rational(1, D)
     raisers, gaps = _sweep(ivs, surd_cmp, zero, one, first_gap_only=True)
     if gaps:
-        return FailureAt(gaps[0][0])
+        return Verdict("unknown", None, f"first uncovered point {gaps[0][0]}", at=gaps[0][0])
     chain: list[Interval] = []
     reach = zero
     i = 0
@@ -195,23 +197,23 @@ def theorem2_bound(fld: QuadField) -> int:
 
 def certify_euclidean(
     fld: QuadField, s: SSet, k_max: int | None = None
-) -> CoverCertificate | Inconclusive:
+) -> CoverCertificate | Verdict:
     """Run the covering procedure: enumerate intervals up to X = 3*q^2
     (q = smallest prime not in S) and sweep.
 
     Returns a certificate whose k_max is the minimal sufficient one, or
-    Inconclusive when D > 3*q^2 (no cover can exist) or no cover is
-    found up to X.
+    an "unknown" Verdict when D > 3*q^2 (no cover can exist) or no cover
+    is found up to X.
     """
     q = s.smallest_missing_prime()
     x = 3 * q * q if k_max is None else k_max
     if fld.D > 3 * q * q:
-        return Inconclusive(f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
+        return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
     for cand in s.smooth_upto(x):
         result = covers_unit(intervals(fld, s, cand), d=fld.d, s=s)
         if isinstance(result, CoverCertificate):
             return result
-    return Inconclusive(f"no cover found with S-smooth k <= {x}")
+    return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")
 
 
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:

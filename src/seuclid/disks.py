@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import Residual, _sweep, residual
+from .covering import Residual, Verdict, _sweep, residual
 from .exact import QuadSurd, SSet, s_part_strip
 from .field import KElement, QuadField, denom_s, make_field, s_norm
 
@@ -22,7 +22,6 @@ __all__ = [
     "PointPiece",
     "GapLineCert",
     "ExceptionalBundle",
-    "NotExceptional",
     "CertificationError",
     "EXCEPTIONAL_PAIRS",
     "boost_radius",
@@ -423,19 +422,12 @@ def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
     return all(verify_gap_line(fld, s, cert) for cert in bundle.gap_lines)
 
 
-@dataclass(frozen=True)
-class NotExceptional:
-    d: int
-    p: int
-
-
-def certify_exceptional(
-    d: int, p: int
-) -> DiskCertificate | ExceptionalBundle | NotExceptional:
+def certify_exceptional(d: int, p: int) -> DiskCertificate | ExceptionalBundle | Verdict:
     """Dispatch the five exceptional (d, p) pairs to their built-in
-    certificates and verify them; anything else is NotExceptional."""
+    certificates and verify them; anything else gets an "unknown"
+    Verdict."""
     if (d, p) not in EXCEPTIONAL_PAIRS:
-        return NotExceptional(d, p)
+        return Verdict("unknown", None, f"({d}, {p}) is not an exceptional pair")
     if d == 35:
         cert = table_disk_certificate(p)
         if not verify_disk_cert(cert):

@@ -11,15 +11,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .covering import Verdict
 from .disks import EXCEPTIONAL_PAIRS
-from .exact import SSet, is_prime, legendre, s_part_strip, squarefree
+from .exact import is_prime, legendre, squarefree
 from .field import KElement, make_field
 
 __all__ = [
     "CaseTag",
     "WitnessCertificate",
-    "NotApplicable",
-    "Inconclusive",
     "OracleReport",
     "certify_non_euclidean",
     "witness_bound",
@@ -46,33 +45,17 @@ class WitnessCertificate:
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class NotApplicable:
-    """The pair falls outside the classification hypotheses (split case)."""
-
-    reason: str
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    """The lower-bound method yields no verdict for this pair."""
-
-    reason: str
-    case_tag: CaseTag
-    bound: Fraction
-
-
-def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | NotApplicable:
+def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | Verdict:
     """Case dispatch for the lower bound on N_S(xi0 - alpha).
 
-    Returns (case tag, witness point, exact bound) or NotApplicable when
-    p splits in K.
+    Returns (case tag, witness point, exact bound), or a "not-applicable"
+    Verdict when p splits in K.
     """
     fld = make_field(d)
     half = fld.half_basis  # -d = 1 (mod 4)
     if p == 2:
         if (-d) % 8 == 1:
-            return NotApplicable(f"-{d} = 1 (mod 8): 2 splits in Q(sqrt(-{d}))")
+            return Verdict("not-applicable", None, f"-{d} = 1 (mod 8): 2 splits in Q(sqrt(-{d}))")
         xi0 = KElement(1, 1, 3, fld)
         if (-d) % 8 == 5:
             return (CaseTag.TWO_GENERIC, xi0, Fraction(1 + d, 36))
@@ -87,7 +70,7 @@ def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | NotApp
     # p odd
     sym = legendre(-d, p)
     if sym == 1:
-        return NotApplicable(f"(-{d}/{p}) = 1: {p} splits in Q(sqrt(-{d}))")
+        return Verdict("not-applicable", None, f"(-{d}/{p}) = 1: {p} splits in Q(sqrt(-{d}))")
     xi0 = KElement(1, 1, 2, fld)
     if not half:
         if sym == -1:
@@ -98,23 +81,24 @@ def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | NotApp
     return (CaseTag.ODD_RAMIFIED_1MOD4, xi0, min(Fraction(1 + d, 16), Fraction(p * p + d, 16 * p)))
 
 
-def certify_non_euclidean(d: int, p: int) -> WitnessCertificate | NotApplicable | Inconclusive:
+def certify_non_euclidean(d: int, p: int) -> WitnessCertificate | Verdict:
     """Certify that Q(sqrt(-d)) is not {p}-norm-Euclidean, when the
-    case analysis gives a bound >= 1."""
+    case analysis gives a bound >= 1; otherwise return the Verdict of
+    `witness_bound` (p splits) or an "unknown" one."""
     if not (d > 0 and squarefree(d)):
         raise ValueError(f"d must be a squarefree positive integer, got {d}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     dispatch = witness_bound(d, p)
-    if isinstance(dispatch, NotApplicable):
+    if isinstance(dispatch, Verdict):
         return dispatch
     tag, xi0, bound = dispatch
     if bound >= 1:
         return WitnessCertificate(d=d, p=p, xi0=xi0, case_tag=tag, bound=bound)
     reason = f"lower bound {bound} < 1"
-    if p != 2 and (d, p) in EXCEPTIONAL_PAIRS:
-        reason += " (exceptional pair, resolved by disk certificates)"
-    return Inconclusive(reason=reason, case_tag=tag, bound=bound)
+    if (d, p) in EXCEPTIONAL_PAIRS:
+        reason += " (exceptional pair, resolved by certify_exceptional)"
+    return Verdict("unknown", None, reason)
 
 
 @dataclass(frozen=True)

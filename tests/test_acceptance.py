@@ -41,7 +41,6 @@ from seuclid.exact import (
 )
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.witness import (
-    NotApplicable,
     WitnessCertificate,
     certify_non_euclidean,
     oracle_min_snorm,
@@ -109,7 +108,7 @@ CLASSIFIED_EUCLIDEAN = {
 
 
 def _in_domain(d, p):
-    return not isinstance(seuclid.witness.witness_bound(d, p), NotApplicable)
+    return not isinstance(seuclid.witness.witness_bound(d, p), seuclid.Verdict)
 
 
 def test_criterion_05_classification_with_certificates():

@@ -92,3 +92,9 @@ def test_render_without_certificate(tmp_path, capsys):
 def test_oracle(capsys):
     assert main(["oracle", "17", "2", "--nmax", "2", "--coeff", "10"]) == 0
     assert "min S-norm" in capsys.readouterr().out
+
+
+def test_oracle_split_prime_uses_default_point(capsys):
+    # 2 splits in Q(sqrt(-7)): no witness point, the oracle centers on (1+w)/2
+    assert main(["oracle", "7", "2", "--nmax", "1", "--coeff", "5"]) == 0
+    assert capsys.readouterr().out.startswith("xi0 = (1+w)/2;")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from seuclid.covering import (
     CoverCertificate,
-    FailureAt,
-    Inconclusive,
-    Interval,
+    Verdict,
     covers_unit,
     certify_euclidean,
     intervals,
@@ -65,20 +63,24 @@ def test_covers_unit_failure_d10():
     # the sweep stalls just below 1/3 for every k_max
     for k_max in (4, 16, 64):
         res = covers_unit(intervals(make_field(10), S2, k_max), d=10, s=S2)
-        assert isinstance(res, FailureAt)
+        assert isinstance(res, Verdict) and res.certificate is None and res.kind == "unknown"
         assert res.at.to_quadsurd() < Fraction(1, 3)
-    assert isinstance(covers_unit([]), FailureAt)
+    empty = covers_unit([])
+    assert isinstance(empty, Verdict) and empty.certificate is None and empty.kind == "unknown"
+    assert empty.at is None and empty.reason
 
 
 def test_certify_euclidean():
     cert = certify_euclidean(make_field(5), S2)
     assert isinstance(cert, CoverCertificate)
     assert cert.k_max == 2
-    assert isinstance(certify_euclidean(make_field(5), S0), Inconclusive)
+    out = certify_euclidean(make_field(5), S0)
+    assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
     cert143 = certify_euclidean(make_field(143), S235)
     assert isinstance(cert143, CoverCertificate)
     assert cert143.k_max == 6
-    assert isinstance(certify_euclidean(make_field(10), S2), Inconclusive)
+    out = certify_euclidean(make_field(10), S2)
+    assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
 
 
 def test_theorem2_bound():

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from seuclid.covering import Verdict
 from seuclid.disks import (
     Disk,
     DiskCertificate,
     ExceptionalBundle,
-    NotExceptional,
     PointPiece,
     boost_radius,
     certify_exceptional,
@@ -188,7 +188,8 @@ def test_gap_line_rejects_tampering():
 
 
 def test_certify_exceptional_dispatch():
-    assert isinstance(certify_exceptional(6, 2), NotExceptional)
+    out = certify_exceptional(6, 2)
+    assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
     bundle = certify_exceptional(10, 2)
     assert isinstance(bundle, ExceptionalBundle)
     assert bundle.gap_rationals == (Fraction(1, 3), Fraction(2, 3))

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from seuclid.covering import CoverCertificate, certify_euclidean
+from seuclid.covering import CoverCertificate, Verdict, certify_euclidean
+from seuclid.disks import EXCEPTIONAL_PAIRS
 from seuclid.exact import SSet, squarefree
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.witness import (
     CaseTag,
-    Inconclusive,
-    NotApplicable,
     WitnessCertificate,
     certify_non_euclidean,
     oracle_min_snorm,
@@ -40,16 +39,17 @@ def test_dispatch_two_even_d():
     assert bound == 1
     # d = 10 falls below the threshold: no witness (it is Euclidean)
     out = certify_non_euclidean(10, 2)
-    assert isinstance(out, Inconclusive)
-    assert out.bound == Fraction(14, 18)
+    assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
+    assert witness_bound(10, 2)[2] == Fraction(14, 18)
 
 
 def test_dispatch_two_mod8():
     tag, _xi0, bound = witness_bound(35, 2)
     assert tag == CaseTag.TWO_GENERIC
     assert bound == 1
-    assert isinstance(witness_bound(15, 2), NotApplicable)
-    assert isinstance(witness_bound(7, 2), NotApplicable)
+    for d in (15, 7):
+        out = witness_bound(d, 2)
+        assert isinstance(out, Verdict) and out.certificate is None and out.kind == "not-applicable"
 
 
 def test_dispatch_odd_inert():
@@ -58,7 +58,8 @@ def test_dispatch_odd_inert():
     assert xi0 == KElement(1, 1, 2, make_field(5))
     assert bound == Fraction(6, 4)
     assert isinstance(certify_non_euclidean(5, 11), WitnessCertificate)
-    assert isinstance(witness_bound(7, 11), NotApplicable)
+    out = witness_bound(7, 11)
+    assert isinstance(out, Verdict) and out.certificate is None and out.kind == "not-applicable"
 
 
 def test_dispatch_odd_ramified():
@@ -69,7 +70,7 @@ def test_dispatch_odd_ramified():
     assert tag == CaseTag.ODD_RAMIFIED_1MOD4
     assert bound == Fraction(60, 80)
     out = certify_non_euclidean(35, 5)
-    assert isinstance(out, Inconclusive)
+    assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
 
 
 def test_dispatch_odd_inert_half_basis():
@@ -130,3 +131,10 @@ def test_oracle_skips_xi0_itself():
     assert rep.min_snorm_found > 0
     with pytest.raises(ValueError):
         oracle_min_snorm(17, 2, xi0, -1, 10)
+
+
+def test_exceptional_pairs_note():
+    for d, p in sorted(EXCEPTIONAL_PAIRS):
+        out = certify_non_euclidean(d, p)
+        assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
+        assert out.reason == f"lower bound {witness_bound(d, p)[2]} < 1 (exceptional pair, resolved by certify_exceptional)"
