@@ -69,9 +69,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_UNKNOWN
     if args.cert:
         if verdict.certificate is None:
-            raise InputError("no certificate to write for this verdict")
-        save_certificate(verdict.certificate, args.cert)
-        print(f"  certificate written to {args.cert}")
+            print("  no certificate written")
+        else:
+            save_certificate(verdict.certificate, args.cert)
+            print(f"  certificate written to {args.cert}")
     return EXIT_OK
 
 

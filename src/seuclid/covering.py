@@ -9,10 +9,11 @@ residual gaps and the gap-line pieces in :mod:`seuclid.disks`.
 """
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .exact import QuadSurd, SSet, SurdValue, surd_cmp
 from .field import QuadField
@@ -93,17 +94,22 @@ class Residual:
         return total
 
 
+# sort key of the family: the left end, ordered exactly by SurdValue.__lt__
+_LO = attrgetter("lo")
+
+
+def _intervals_of(k: int, D: int):
+    """The I_j^k of one k: 0 <= j <= k, gcd(j, k) = 1, in increasing j."""
+    return (Interval.make(j, k, D) for j in range(k + 1) if math.gcd(j, k) == 1)
+
+
 def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
     """All I_j^k with S-smooth k <= k_max, 0 <= j <= k, gcd(j, k) = 1,
-    sorted by left endpoint."""
+    sorted by left endpoint; ties keep increasing k, then j."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    result = []
-    for k in s.smooth_upto(k_max):
-        for j in range(k + 1):
-            if math.gcd(j, k) == 1:
-                result.append(Interval.make(j, k, fld.D))
-    result.sort(key=functools.cmp_to_key(lambda u, v: surd_cmp(u.lo, v.lo)))
+    result = [iv for k in s.smooth_upto(k_max) for iv in _intervals_of(k, fld.D)]
+    result.sort(key=_LO)
     return result
 
 
@@ -198,19 +204,27 @@ def theorem2_bound(fld: QuadField) -> int:
 def certify_euclidean(
     fld: QuadField, s: SSet, k_max: int | None = None
 ) -> CoverCertificate | Verdict:
-    """Run the covering procedure: enumerate intervals up to X = 3*q^2
-    (q = smallest prime not in S) and sweep.
+    """Run the covering procedure: add the intervals of each S-smooth
+    k <= X = 3*q^2 (q = smallest prime not in S) in increasing k to one
+    sorted family, and sweep it after each k.
 
-    Returns a certificate whose k_max is the minimal sufficient one, or
-    an "unknown" Verdict when D > 3*q^2 (no cover can exist) or no cover
-    is found up to X.
+    Adding intervals never uncovers a point, so the first k that covers
+    is the minimal sufficient k_max; the family swept at each k equals
+    `intervals(fld, s, k)` element for element.  Returns that
+    certificate, or an "unknown" Verdict when D > 3*q^2 (no cover can
+    exist) or no cover is found up to X.
     """
     q = s.smallest_missing_prime()
     x = 3 * q * q if k_max is None else k_max
     if fld.D > 3 * q * q:
         return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
-    for cand in s.smooth_upto(x):
-        result = covers_unit(intervals(fld, s, cand), d=fld.d, s=s)
+    family: list[Interval] = []
+    for cand in s.smooth():
+        if cand > x:
+            break
+        for iv in _intervals_of(cand, fld.D):
+            bisect.insort_right(family, iv, key=_LO)
+        result = covers_unit(family, d=fld.d, s=s)
         if isinstance(result, CoverCertificate):
             return result
     return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")

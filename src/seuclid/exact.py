@@ -7,9 +7,11 @@ any certification path.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -104,18 +106,25 @@ class SSet:
         """True iff n is a product of primes in S (1 is always smooth)."""
         return s_part_strip(n, self) == 1
 
+    def smooth(self) -> Iterator[int]:
+        """The S-smooth positive integers in ascending order, lazily; endless
+        unless S is empty.
+
+        Each n is pushed once, as m*p with p its smallest prime factor:
+        from m only the primes up to m's own smallest one are tried.
+        """
+        heap = [1]
+        while heap:
+            n = heapq.heappop(heap)
+            yield n
+            for p in self.primes:
+                heapq.heappush(heap, n * p)
+                if n % p == 0:
+                    break
+
     def smooth_upto(self, limit: int) -> list[int]:
         """All S-smooth positive integers <= limit, sorted ascending."""
-        values = [1]
-        for p in self.primes:
-            extended = []
-            for v in values:
-                w = v * p
-                while w <= limit:
-                    extended.append(w)
-                    w *= p
-            values.extend(extended)
-        return sorted(v for v in values if v <= limit)
+        return list(takewhile(lambda n: n <= limit, self.smooth()))
 
     def smallest_missing_prime(self) -> int:
         q = 2

@@ -26,6 +26,14 @@ def test_check_not_applicable(capsys):
     assert "NotApplicable" in capsys.readouterr().out
 
 
+def test_check_not_applicable_writes_no_cert(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", "31", "--s", "2", "--cert", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "NotApplicable" in out and "no certificate written" in out
+    assert not path.exists()
+
+
 def test_check_unknown_exit_2(capsys):
     assert main(["check", "5"]) == 2
 

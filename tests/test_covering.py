@@ -1,13 +1,18 @@
 """Interval covering engine tests."""
+import functools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seuclid import covering
 from seuclid.covering import (
     CoverCertificate,
+    Interval,
     Verdict,
     covers_unit,
     certify_euclidean,
@@ -16,7 +21,7 @@ from seuclid.covering import (
     residual,
     theorem2_bound,
 )
-from seuclid.exact import QuadSurd, SSet, SurdValue, squarefree, surd_cmp
+from seuclid.exact import QuadSurd, SSet, SurdValue, primes_below, squarefree, surd_cmp
 from seuclid.field import make_field
 
 S0 = SSet()
@@ -43,6 +48,30 @@ def test_intervals_sorted_and_reduced():
         assert surd_cmp(a.lo, b.lo) <= 0
     with pytest.raises(ValueError):
         intervals(make_field(67), S23, 0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 67])
+def test_intervals_order_is_the_stable_surd_sort(d, monkeypatch):
+    # D = 3 (d = 3) has ties in lo; they keep increasing k, then j
+    fld = make_field(d)
+    s = SSet.of(2, 3, 5)
+    built = [(j, k) for k in s.smooth_upto(60) for j in range(k + 1) if math.gcd(j, k) == 1]
+    ivs = [Interval.make(j, k, fld.D) for j, k in built]
+    want = sorted(ivs, key=functools.cmp_to_key(lambda u, v: surd_cmp(u.lo, v.lo)))
+    assert intervals(fld, s, 60) == want
+    if d == 3:
+        assert any(surd_cmp(a.lo, b.lo) == 0 for a, b in zip(want, want[1:]))
+    # the one-pass search sweeps that same family after each k; a sweep
+    # that never covers lets it run through every candidate
+    swept = []
+
+    def no_cover(family, *, d, s):
+        swept.append(list(family))
+        return Verdict("unknown", None, "never covers")
+
+    monkeypatch.setattr(covering, "covers_unit", no_cover)
+    certify_euclidean(fld, s, 60)
+    assert swept == [intervals(fld, s, k) for k in s.smooth_upto(60)]
 
 
 def test_covers_unit_d3():
@@ -210,3 +239,60 @@ def test_sweep_properties(d, primes, k_max):
         for iv in ivs:
             for x in (lo, hi):
                 assert not surd_cmp(iv.lo, x) < 0 < surd_cmp(iv.hi, x)
+
+
+def _rebuild_per_k(fld, s, k_max=None):
+    """Reference search: rebuild and sweep the whole family for every
+    S-smooth candidate k in increasing order."""
+    q = s.smallest_missing_prime()
+    x = 3 * q * q if k_max is None else k_max
+    if fld.D > 3 * q * q:
+        return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
+    for cand in s.smooth_upto(x):
+        result = covers_unit(intervals(fld, s, cand), d=fld.d, s=s)
+        if isinstance(result, CoverCertificate):
+            return result
+    return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([d for d in range(1, 301) if squarefree(d)]),
+    st.integers(min_value=0, max_value=len(SMALL_PRIMES)),
+    st.sets(st.sampled_from(SMALL_PRIMES)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
+)
+def test_one_pass_search_is_minimal(d, prefix, extra, k_max):
+    """The one-pass search returns the one-shot cover at its k_max, no
+    smaller S-smooth k covers, and its verdicts match the rebuild."""
+    # a prefix of the primes makes D <= 3*q^2, where covers exist, common
+    fld = make_field(d)
+    s = SSet.from_iterable(SMALL_PRIMES[:prefix] + tuple(extra))
+    result = certify_euclidean(fld, s, k_max)
+    if isinstance(result, CoverCertificate):
+        assert result == covers_unit(intervals(fld, s, result.k_max), d=d, s=s)
+        smaller = s.smooth_upto(result.k_max - 1)
+        if smaller:
+            assert isinstance(covers_unit(intervals(fld, s, smaller[-1]), d=d, s=s), Verdict)
+    else:
+        want = _rebuild_per_k(fld, s, k_max)
+        assert isinstance(want, Verdict)
+        assert (result.kind, result.reason) == (want.kind, want.reason)
+        assert result.certificate is None
+
+
+def test_theorem2_kmax_pinned():
+    """The minimal k_max of every Theorem-2 cover for squarefree d <= 1000
+    (S = all primes below theorem2_bound), as pinned for the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    pinned = json.loads(path.read_text())["theorem2_kmax"]
+    ds = [d for d in range(1, 1001) if squarefree(d)]
+    assert sorted(int(d) for d in pinned) == ds
+    for d in ds:
+        fld = make_field(d)
+        cert = certify_euclidean(fld, SSet.from_iterable(primes_below(theorem2_bound(fld))))
+        assert isinstance(cert, CoverCertificate)
+        assert cert.k_max == pinned[str(d)], d

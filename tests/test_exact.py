@@ -60,6 +60,35 @@ def test_sset_smooth():
     assert SSet.of(2, 3, 5).smallest_missing_prime() == 7
 
 
+def _smooth_closure(s, limit):
+    """Reference: close {1} under multiplication by the primes of S."""
+    values = [1]
+    for p in s.primes:
+        extended = []
+        for v in values:
+            w = v * p
+            while w <= limit:
+                extended.append(w)
+                w *= p
+        values.extend(extended)
+    return sorted(v for v in values if v <= limit)
+
+
+@pytest.mark.parametrize("primes", [(), (2,), (2, 3), (2, 3, 5, 7), (3, 11)])
+def test_smooth_upto_matches_closure(primes):
+    s = SSet.from_iterable(primes)
+    for limit in range(2001):
+        assert s.smooth_upto(limit) == _smooth_closure(s, limit)
+    # the lazy enumeration is strictly ascending and runs on past any limit
+    it = s.smooth()
+    head = [next(it) for _ in range(len(_smooth_closure(s, 2000)))]
+    assert head == _smooth_closure(s, 2000)
+    if primes:
+        assert next(it) > 2000
+    else:
+        assert next(it, None) is None
+
+
 def test_s_part_strip_examples():
     assert s_part_strip(54, S2) == 27
     assert s_part_strip(49, S2) == 49
