@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .covering import CoverCertificate, Residual, Verdict, replay_chain
+from .covering import CoverCertificate, Verdict, replay_chain
 from .disks import (
     BoundPiece,
     Disk,
@@ -26,11 +26,11 @@ from .disks import (
     verify_disk_cert,
     verify_exceptional_bundle,
 )
-from .exact import QuadSurd, SSet, SurdValue, s_part_strip
-from .field import KElement, make_field
+from .exact import QuadSurd, SSet, s_part_strip
+from .field import KElement, QuadField, make_field
 from .witness import CaseTag, WitnessCertificate, witness_bound
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -63,8 +63,8 @@ def _elem(x: KElement) -> dict[str, int]:
     return {"a": x.a, "b": x.b, "c": x.c}
 
 
-def _surd(v: SurdValue) -> dict[str, int]:
-    return {"j": v.j, "s": v.s, "k": v.k, "D": v.D}
+def _read_elem(obj: Any, fld: QuadField) -> KElement:
+    return KElement(int(obj["a"]), int(obj["b"]), int(obj["c"]), fld)
 
 
 def _quadsurd(v: QuadSurd) -> dict[str, Any]:
@@ -125,7 +125,6 @@ def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
             "s": [cert.p],
             "payload": {
                 "k_max": cert.k_max,
-                "gaps": [[_surd(lo), _surd(hi)] for lo, hi in cert.gaps.gaps],
                 "gap_rationals": [_frac(y) for y in cert.gap_rationals],
                 "gap_lines": [
                     {
@@ -145,9 +144,6 @@ def _piece_to_obj(piece: BoundPiece | PointPiece) -> dict[str, Any]:
     return {
         "type": "bound",
         "alpha": _elem(piece.alpha),
-        "a2": _frac(piece.a2),
-        "a1": _frac(piece.a1),
-        "a0": _frac(piece.a0),
         "lo": _quadsurd(piece.lo),
         "hi": _quadsurd(piece.hi),
         "lo_closed": piece.lo_closed,
@@ -174,7 +170,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
         if kind == "disk":
             disks = tuple(
                 Disk(
-                    center=KElement(int(e["a"]), int(e["b"]), int(e["c"]), fld),
+                    center=_read_elem(e, fld),
                     r_squared=_read_frac(e["r_squared"]),
                     boosted=bool(e["boosted"]),
                 )
@@ -185,25 +181,15 @@ def certificate_from_obj(obj: Any) -> Certificate:
             )
         if kind == "witness":
             (p,) = s.primes
-            e = payload["xi0"]
             return WitnessCertificate(
                 d=d,
                 p=p,
-                xi0=KElement(int(e["a"]), int(e["b"]), int(e["c"]), fld),
+                xi0=_read_elem(payload["xi0"], fld),
                 case_tag=CaseTag(payload["case_tag"]),
                 bound=_read_frac(payload["bound"]),
             )
         if kind == "exceptional-bundle":
             (p,) = s.primes
-            gaps = Residual(
-                tuple(
-                    (
-                        SurdValue(int(lo["j"]), int(lo["s"]), int(lo["k"]), int(lo["D"])),
-                        SurdValue(int(hi["j"]), int(hi["s"]), int(hi["k"]), int(hi["D"])),
-                    )
-                    for lo, hi in payload["gaps"]
-                )
-            )
             lines = tuple(
                 GapLineCert(
                     y0=_read_frac(line["y0"]),
@@ -215,7 +201,6 @@ def certificate_from_obj(obj: Any) -> Certificate:
                 d=d,
                 p=p,
                 k_max=int(payload["k_max"]),
-                gaps=gaps,
                 gap_rationals=tuple(_read_frac(y) for y in payload["gap_rationals"]),
                 gap_lines=lines,
             )
@@ -226,18 +211,12 @@ def certificate_from_obj(obj: Any) -> Certificate:
         raise CertificateParseError(f"malformed certificate: {exc}") from exc
 
 
-def _piece_from_obj(obj: Any, fld) -> BoundPiece | PointPiece:
+def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
+    alpha = _read_elem(obj["alpha"], fld)
     if obj["type"] == "point":
-        e = obj["alpha"]
-        return PointPiece(
-            x=_read_frac(obj["x"]), alpha=KElement(int(e["a"]), int(e["b"]), int(e["c"]), fld)
-        )
-    e = obj["alpha"]
+        return PointPiece(x=_read_frac(obj["x"]), alpha=alpha)
     return BoundPiece(
-        alpha=KElement(int(e["a"]), int(e["b"]), int(e["c"]), fld),
-        a2=_read_frac(obj["a2"]),
-        a1=_read_frac(obj["a1"]),
-        a0=_read_frac(obj["a0"]),
+        alpha=alpha,
         lo=_read_quadsurd(obj["lo"]),
         hi=_read_quadsurd(obj["hi"]),
         lo_closed=bool(obj["lo_closed"]),
@@ -287,13 +266,10 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def save_certificate(cert: Certificate, path: str, with_timestamp: bool = True) -> None:
-    obj = certificate_to_obj(cert)
-    out = dict(obj)
-    metadata: dict[str, Any] = {"tool": "seuclid", "version": __version__}
-    if with_timestamp:
-        metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
-    out["metadata"] = metadata
+def save_certificate(cert: Certificate, path: str) -> None:
+    out = certificate_to_obj(cert)
+    timestamp = datetime.now(timezone.utc).isoformat()
+    out["metadata"] = {"tool": "seuclid", "version": __version__, "timestamp": timestamp}
     with open(path, "w") as fh:
         json.dump(out, fh, sort_keys=True, indent=2)
         fh.write("\n")

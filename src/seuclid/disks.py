@@ -8,10 +8,11 @@ gap-line verifier used for d = 10 and d = 15.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import Residual, Verdict, _sweep, residual
+from .covering import Verdict, _sweep, residual
 from .exact import QuadSurd, SSet, s_part_strip
 from .field import KElement, QuadField, denom_s, make_field, s_norm
 
@@ -24,6 +25,7 @@ __all__ = [
     "ExceptionalBundle",
     "CertificationError",
     "EXCEPTIONAL_PAIRS",
+    "MAX_REFINE",
     "boost_radius",
     "verify_disk_cert",
     "find_uncovered_cell",
@@ -93,16 +95,23 @@ def _corner_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bo
     return q * r.denominator < r.numerator * m2
 
 
+def _cell_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bool:
+    """Are all four corners of the cell [iu/den, (iu+1)/den] x
+    [iv/den, (iv+1)/den] strictly inside the disk?  Squared distance is
+    convex, so then the whole cell is."""
+    return (
+        _corner_inside(fld, disk, iu, iv, den)
+        and _corner_inside(fld, disk, iu + 1, iv, den)
+        and _corner_inside(fld, disk, iu, iv + 1, den)
+        and _corner_inside(fld, disk, iu + 1, iv + 1, den)
+    )
+
+
 def _cell_covered(fld: QuadField, disks: tuple[Disk, ...], iu: int, iv: int, den: int, depth: int) -> bool:
-    """Corner check (squared distance is convex, so corner membership is
-    sound for the whole cell), with 4-way splitting on failure."""
-    for disk in disks:
-        if all(
-            _corner_inside(fld, disk, iu + du, iv + dv, den)
-            for du in (0, 1)
-            for dv in (0, 1)
-        ):
-            return True
+    """Is the cell inside one disk, or (splitting it four ways up to
+    depth times) is every piece?"""
+    if any(_cell_inside(fld, disk, iu, iv, den) for disk in disks):
+        return True
     if depth <= 0:
         return False
     iu2, iv2, den2 = 2 * iu, 2 * iv, 2 * den
@@ -113,9 +122,10 @@ def _cell_covered(fld: QuadField, disks: tuple[Disk, ...], iu: int, iv: int, den
     )
 
 
-def find_uncovered_cell(
-    cert: DiskCertificate, max_refine: int = 4
-) -> tuple[int, int, int] | None:
+MAX_REFINE = 4  # four-way splits of a cell no disk holds before it fails
+
+
+def find_uncovered_cell(cert: DiskCertificate) -> tuple[int, int, int] | None:
     """First subdivision cell not strictly inside any disk, as
     (iu, iv, den) with the cell spanning [iu/den, (iu+1)/den] in each
     basis coordinate; None when the disks cover F."""
@@ -123,54 +133,37 @@ def find_uncovered_cell(
     if n < 1:
         raise ValueError("subdivision_depth must be positive")
     fld = cert.disks[0].center.field if cert.disks else make_field(cert.d)
-    # per-disk corner membership over the (n+1) x (n+1) grid
-    grids = []
-    for disk in cert.disks:
-        grids.append(
-            [[_corner_inside(fld, disk, iu, iv, n) for iv in range(n + 1)] for iu in range(n + 1)]
-        )
-    order = list(range(len(cert.disks)))
+    # the disk that held the last cell is tried first
+    order = list(cert.disks)
     for iu in range(n):
         for iv in range(n):
-            hit = None
-            for idx in order:
-                g = grids[idx]
-                if g[iu][iv] and g[iu + 1][iv] and g[iu][iv + 1] and g[iu + 1][iv + 1]:
-                    hit = idx
+            for i, disk in enumerate(order):
+                if _cell_inside(fld, disk, iu, iv, n):
+                    order.insert(0, order.pop(i))
                     break
-            if hit is not None:
-                # try the last successful disk first for the next cell
-                order.remove(hit)
-                order.insert(0, hit)
-                continue
-            if not _cell_covered(fld, cert.disks, iu, iv, n, max_refine):
-                return (iu, iv, n)
+            else:
+                if not _cell_covered(fld, cert.disks, iu, iv, n, MAX_REFINE):
+                    return (iu, iv, n)
     return None
 
 
-def verify_disk_cert(cert: DiskCertificate, max_refine: int = 4) -> bool:
+def verify_disk_cert(cert: DiskCertificate) -> bool:
     """True iff every subdivision cell of F lies strictly inside one of
-    the disks (splitting failing cells up to max_refine times)."""
-    return find_uncovered_cell(cert, max_refine) is None
+    the disks (splitting failing cells up to MAX_REFINE times)."""
+    return find_uncovered_cell(cert) is None
 
 
 @dataclass(frozen=True)
 class BoundPiece:
-    """One alpha whose S-norm distance to points xi = x + y0*w on the gap
-    line is bounded by the quadratic a2*x^2 + a1*x + a0, below 1 on the
-    claimed x-interval."""
+    """One alpha for the points xi = x + y0*w on the gap line with x in
+    the claimed interval; the checker derives the bound on their S-norm
+    distance to alpha (see verify_gap_line)."""
 
     alpha: KElement
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
     lo: QuadSurd
     hi: QuadSurd
     lo_closed: bool
     hi_closed: bool
-
-    def bound_at(self, x: QuadSurd) -> QuadSurd:
-        return x * x * self.a2 + x * self.a1 + self.a0
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,13 @@ class PointPiece:
 @dataclass(frozen=True)
 class GapLineCert:
     """Certificate that every K-point on the horizontal line y = y0 of F
-    admits an alpha with S-norm distance below 1."""
+    admits an alpha with S-norm distance below 1.
+
+    Its pieces speak for the points whose x has a denominator coprime to
+    S (the bundle's p-orbit check moves the others onto such points);
+    verify_gap_line derives each BoundPiece's bound from (field, S, y0,
+    alpha).
+    """
 
     y0: Fraction
     pieces: tuple[BoundPiece | PointPiece, ...]
@@ -212,37 +211,54 @@ def _quad_cmp(x: QuadSurd, y: QuadSurd) -> int:
     return (x - y).sign()
 
 
-def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
-    """Verify every piece symbolically, then check the x-intervals and
-    point checks cover [0, 1].
+def _piece_bound(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tuple[Fraction, Fraction, Fraction]:
+    """(a2, a1, a0) with N_S(x + y0*w - alpha) <= a2*x^2 + a1*x + a0 for
+    every x whose denominator is coprime to S (see verify_gap_line)."""
+    a, b, c = alpha.a, alpha.b, alpha.c
+    u, v = y0.numerator, y0.denominator
+    h, e = (1, (1 + fld.d) // 4) if fld.half_basis else (0, fld.d)
+    beta = c * u - b * v
+    g = math.gcd(v * v * c * c, v * c * (h * beta - 2 * v * a), v * v * a * a - h * v * a * beta + e * beta * beta)
+    m = Fraction(c * c * s_part_strip(g, s), g)
+    x0, tau = Fraction(a, c), y0 - Fraction(b, c)
+    # N(X + tau*w) = X^2 + h*tau*X + e*tau^2 at X = x - x0
+    return m, m * (h * tau - 2 * x0), m * (x0 * x0 - h * tau * x0 + e * tau * tau)
 
-    Bound pieces must be convex (a2 >= 0), so the maximum over the
-    claimed interval sits at an endpoint: closed endpoints need the
-    bound strictly below 1, open endpoints allow equality.
+
+def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
+    """Verify every piece, then check that the x-intervals and the point
+    checks cover [0, 1].
+
+    Every alpha must be an S-integer; point pieces get an exact S-norm.
+    A bound piece's quadratic is derived, not read: with alpha =
+    (a + b*w)/c, y0 = u/v and x = r/t (t coprime to S), the norm is
+    F(r, t)/(c*t*v)^2 for an integral form F with content g.  The
+    S-part of that denominator is exactly c^2 and that of F(r, t) is at
+    least g's, so N_S <= m*N(x - a/c + (y0 - b/c)*w) with
+    m = c^2 * s_part_strip(g, S)/g.  (Points whose x has a factor from
+    S in its denominator are left to the bundle's p-orbit check.)  The
+    bound is convex, so it need only hold at the ends of the claimed
+    interval: below 1 at a closed end, at most 1 at an open one.
     """
     if not cert.pieces:
         return False
     if s_part_strip(cert.y0.denominator, s) != cert.y0.denominator:
         return False  # y0 denominator must be coprime to S
     for piece in cert.pieces:
+        if s_part_strip(piece.alpha.c, s) != 1:
+            return False  # alpha must be an S-integer
         if isinstance(piece, PointPiece):
             xi = _line_point(fld, piece.x, cert.y0)
             if s_norm(xi - piece.alpha, s) >= 1:
                 return False
             continue
-        denom_s(piece.alpha, s)  # alpha must be an S-integer
-        if piece.a2 < 0:
-            return False
         if not piece.lo < piece.hi:
             return False
-        for endpoint, closed in ((piece.lo, piece.lo_closed), (piece.hi, piece.hi_closed)):
-            value = piece.bound_at(endpoint)
-            if closed:
-                if not value < 1:
-                    return False
-            else:
-                if not value <= 1:
-                    return False
+        a2, a1, a0 = _piece_bound(fld, s, cert.y0, piece.alpha)
+        for x, closed in ((piece.lo, piece.lo_closed), (piece.hi, piece.hi_closed)):
+            c = (x * x * a2 + x * a1 + a0 - 1).sign()
+            if c > 0 or (c == 0 and closed):
+                return False
     # in order of left end, closed before open on ties
     order = functools.cmp_to_key(lambda u, v: _quad_cmp(u.lo, v.lo) or v.lo_closed - u.lo_closed)
     pieces = sorted(cert.pieces, key=order)
@@ -312,7 +328,7 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
     if (d, p) == (10, 2):
         # line y = 1/3; for x = r/s with s odd the S-norms are exactly
         # 2x^2+5/9 (alpha=w/2), 2(1-x)^2+5/9 (alpha=(2+w)/2) and
-        # 8(x-1/2)^2+5/9 (alpha=(2+w)/4)
+        # 8(x-1/2)^2+5/9 (alpha=(2+w)/4), the bounds _piece_bound derives
         root2_3 = QuadSurd(Fraction(0), Fraction(1, 3), 2)  # sqrt(2)/3
         root2_6 = QuadSurd(Fraction(0), Fraction(1, 6), 2)  # sqrt(2)/6
         zero = QuadSurd(Fraction(0))
@@ -322,17 +338,14 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
             pieces=(
                 BoundPiece(
                     alpha=KElement(0, 1, 2, fld),
-                    a2=Fraction(2), a1=Fraction(0), a0=Fraction(5, 9),
                     lo=zero, hi=root2_3, lo_closed=True, hi_closed=False,
                 ),
                 BoundPiece(
                     alpha=KElement(2, 1, 2, fld),
-                    a2=Fraction(2), a1=Fraction(-4), a0=Fraction(2) + Fraction(5, 9),
                     lo=one - root2_3, hi=one, lo_closed=False, hi_closed=True,
                 ),
                 BoundPiece(
                     alpha=KElement(2, 1, 4, fld),
-                    a2=Fraction(8), a1=Fraction(-8), a0=Fraction(2) + Fraction(5, 9),
                     lo=QuadSurd(half) - root2_6, hi=QuadSurd(half) + root2_6,
                     lo_closed=False, hi_closed=False,
                 ),
@@ -349,13 +362,11 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
             pieces=(
                 BoundPiece(
                     alpha=KElement(0, 1, 1, fld),
-                    a2=Fraction(1), a1=Fraction(-1, 2), a0=Fraction(1),
                     lo=QuadSurd(Fraction(0)), hi=QuadSurd(half),
                     lo_closed=False, hi_closed=False,
                 ),
                 BoundPiece(
                     alpha=KElement(1, 0, 1, fld),
-                    a2=Fraction(1), a1=Fraction(-3, 2), a0=Fraction(3, 2),
                     lo=QuadSurd(half), hi=QuadSurd(Fraction(1)),
                     lo_closed=False, hi_closed=False,
                 ),
@@ -369,9 +380,11 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
 
 @dataclass(frozen=True)
 class ExceptionalBundle:
-    """Residual evidence plus gap-line certificates for the cases where
-    the interval family misses [0, 1] by finitely many points.
+    """Gap-line certificates for the cases where the interval family
+    misses [0, 1] by finitely many points.
 
+    The checker recomputes the residual gaps of the intervals with
+    S-smooth k <= k_max; each must hold exactly one of gap_rationals.
     gap_rationals is closed under y -> p*y (mod 1), which reduces every
     missed line to one carrying a certificate (scaling by p preserves
     the S-norm condition).
@@ -380,27 +393,22 @@ class ExceptionalBundle:
     d: int
     p: int
     k_max: int
-    gaps: Residual
     gap_rationals: tuple[Fraction, ...]
     gap_lines: tuple[GapLineCert, ...]
 
 
 def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
+    if bundle.k_max < 1:
+        return False
     fld = make_field(bundle.d)
     s = SSet.of(bundle.p)
     gaps = residual(fld, s, bundle.k_max)
-    if gaps != bundle.gaps:
-        return False
     rationals = set(bundle.gap_rationals)
     # each residual gap contains exactly one of the claimed points, and
     # every claimed point lies in a gap
     seen = set()
     for lo, hi in gaps.gaps:
-        inside = [
-            y
-            for y in rationals
-            if lo.to_quadsurd() <= QuadSurd(y) <= hi.to_quadsurd()
-        ]
+        inside = [y for y in rationals if lo.to_quadsurd() <= QuadSurd(y) <= hi.to_quadsurd()]
         if len(inside) != 1:
             return False
         seen.add(inside[0])
@@ -433,8 +441,6 @@ def certify_exceptional(d: int, p: int) -> DiskCertificate | ExceptionalBundle |
         if not verify_disk_cert(cert):
             raise CertificationError(f"disk table for (35, {p}) failed verification")
         return cert
-    fld = make_field(d)
-    s = SSet.of(p)
     if d == 10:
         k_max, rationals = 64, (Fraction(1, 3), Fraction(2, 3))
     else:
@@ -443,7 +449,6 @@ def certify_exceptional(d: int, p: int) -> DiskCertificate | ExceptionalBundle |
         d=d,
         p=p,
         k_max=k_max,
-        gaps=residual(fld, s, k_max),
         gap_rationals=rationals,
         gap_lines=(gap_line_certificate(d, p),),
     )

@@ -23,6 +23,7 @@ from seuclid.covering import (
 )
 from seuclid.disks import (
     EXCEPTIONAL_PAIRS,
+    MAX_REFINE,
     ExceptionalBundle,
     boost_radius,
     certify_exceptional,
@@ -137,10 +138,11 @@ def test_criterion_06_exceptional_certificates_verify():
     start = time.monotonic()
     cert_a = table_disk_certificate(5, subdivision_depth=125)
     assert len(cert_a.disks) == 14
-    assert verify_disk_cert(cert_a, max_refine=4)
+    assert MAX_REFINE == 4
+    assert verify_disk_cert(cert_a)
     cert_b = table_disk_certificate(7, subdivision_depth=125)
     assert len(cert_b.disks) == 20
-    assert verify_disk_cert(cert_b, max_refine=4)
+    assert verify_disk_cert(cert_b)
     line10 = gap_line_certificate(10, 2)
     assert len(line10.pieces) == 3
     assert verify_gap_line(make_field(10), SSet.of(2), line10)

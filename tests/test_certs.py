@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from seuclid.certs import (
     save_certificate,
     verify_certificate_obj,
 )
-from seuclid.covering import certify_euclidean, theorem2_bound
+from seuclid.covering import certify_euclidean, residual, theorem2_bound
 from seuclid.disks import certify_exceptional, table_disk_certificate
 from seuclid.exact import SSet, primes_below, squarefree
 from seuclid.field import make_field
@@ -66,8 +67,10 @@ def test_verify_rejects_false_k_max():
 
 
 # sha256 over the canonical JSON (one line each) of the Theorem-2 cover
-# certificates for squarefree d <= 300 and the three gap-line bundles
-PINNED_DIGEST = "a9e6fd8ac08235e68debb62ffa56ae07e71a14fca7a908bfd2603d57b27f8b37"
+# certificates for squarefree d <= 300 and the three gap-line bundles;
+# schema 2.0: the 1.0 objects with schema_version "2.0" and without the
+# bundle's "gaps" and its pieces' "a2"/"a1"/"a0"
+PINNED_DIGEST = "eb3cb772095eb88937ec5b7c80d8aa05357f93632c4c04364d6853aabafee8a4"
 
 
 def test_certificate_bytes_pinned():
@@ -82,6 +85,66 @@ def test_certificate_bytes_pinned():
         digest.update(canonical_json(certificate_to_obj(cert)).encode() + b"\n")
     assert len(certs) == 186
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+_ZERO = {"num": "0", "den": "1"}
+_ONE = {"num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize("d, p", [(10, 2), (15, 3), (15, 5)])
+def test_verify_rejects_zero_gap_line(d, p):
+    # alpha = 0 claiming the bound 0*x^2 + 0*x + 0 on all of [0, 1]
+    obj = certificate_to_obj(certify_exceptional(d, p))
+    for line in obj["payload"]["gap_lines"]:
+        line["pieces"] = [{
+            "type": "bound", "alpha": {"a": 0, "b": 0, "c": 1},
+            "a2": _ZERO, "a1": _ZERO, "a0": _ZERO,
+            "lo": {"a": _ZERO, "b": _ZERO, "m": 0}, "hi": {"a": _ONE, "b": _ZERO, "m": 0},
+            "lo_closed": True, "hi_closed": True,
+        }]
+    assert not verify_certificate_obj(obj)
+
+
+def test_bundle_payload_keys():
+    obj = certificate_to_obj(certify_exceptional(10, 2))
+    assert obj["schema_version"] == "2.0"
+    assert set(obj["payload"]) == {"k_max", "gap_rationals", "gap_lines"}
+    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
+    assert set(piece) == {"type", "alpha", "lo", "hi", "lo_closed", "hi_closed"}
+
+
+def test_schema_1_0_bundle_still_verifies():
+    """A 1.0 file carries each piece's quadratic and the residual gaps;
+    the parser ignores both."""
+    obj = certificate_to_obj(certify_exceptional(10, 2))
+    obj["schema_version"] = "1.0"
+    gaps = residual(make_field(10), SSet.of(2), obj["payload"]["k_max"]).gaps
+    obj["payload"]["gaps"] = [
+        [{"j": v.j, "s": v.s, "k": v.k, "D": v.D} for v in gap] for gap in gaps
+    ]
+    quadratics = [(2, 0, Fraction(5, 9)), (2, -4, Fraction(23, 9)), (8, -8, Fraction(23, 9))]
+    for piece, coefficients in zip(obj["payload"]["gap_lines"][0]["pieces"], quadratics):
+        for key, q in zip(("a2", "a1", "a0"), map(Fraction, coefficients)):
+            piece[key] = {"num": str(q.numerator), "den": str(q.denominator)}
+    assert verify_certificate_obj(obj)
+    # the stated quadratic is not read: one that never drops below 1
+    # changes nothing
+    for piece in obj["payload"]["gap_lines"][0]["pieces"]:
+        piece.update(a2=_ZERO, a1=_ZERO, a0={"num": "5", "den": "1"})
+    assert verify_certificate_obj(obj)
+
+
+def test_verify_rejects_bundle_alpha_outside_o_s():
+    obj = certificate_to_obj(certify_exceptional(10, 2))
+    obj["payload"]["gap_lines"][0]["pieces"][0]["alpha"] = {"a": 0, "b": 1, "c": 3}
+    assert verify_certificate_obj(obj) is False
+
+
+@pytest.mark.parametrize("k_max", [0, -5])
+def test_verify_rejects_nonpositive_bundle_k_max(k_max):
+    obj = certificate_to_obj(certify_exceptional(15, 3))
+    obj["payload"]["k_max"] = k_max
+    assert verify_certificate_obj(obj) is False
 
 
 def test_verify_rejects_non_smooth_interval():

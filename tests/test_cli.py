@@ -106,3 +106,17 @@ def test_oracle_split_prime_uses_default_point(capsys):
     # 2 splits in Q(sqrt(-7)): no witness point, the oracle centers on (1+w)/2
     assert main(["oracle", "7", "2", "--nmax", "1", "--coeff", "5"]) == 0
     assert capsys.readouterr().out.startswith("xi0 = (1+w)/2;")
+
+
+def test_verify_bad_bundle_exit_3(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
+    good = json.loads(path.read_text())
+    bad_alpha = json.loads(path.read_text())
+    bad_alpha["payload"]["gap_lines"][0]["pieces"][0]["alpha"] = {"a": 0, "b": 1, "c": 3}
+    bad_k_max = dict(good, payload=dict(good["payload"], k_max=0))
+    for obj in (bad_alpha, bad_k_max):
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 3
+        assert "verification FAILED" in capsys.readouterr().out
