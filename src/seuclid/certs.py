@@ -236,6 +236,8 @@ def verify_certificate_obj(obj: Any) -> bool:
             return False
         return replay_chain(fld.D, list(cert.chain))
     if isinstance(cert, DiskCertificate):
+        if cert.subdivision_depth < 1:
+            return False
         fld = make_field(cert.d)
         # each claimed radius must be within what the lemmas afford
         for disk in cert.disks:

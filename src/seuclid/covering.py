@@ -94,10 +94,6 @@ class Residual:
         return total
 
 
-# sort key of the family: the left end, ordered exactly by SurdValue.__lt__
-_LO = attrgetter("lo")
-
-
 def _intervals_of(k: int, D: int):
     """The I_j^k of one k: 0 <= j <= k, gcd(j, k) = 1, in increasing j."""
     return (Interval.make(j, k, D) for j in range(k + 1) if math.gcd(j, k) == 1)
@@ -109,8 +105,41 @@ def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
     if k_max < 1:
         raise ValueError("k_max must be positive")
     result = [iv for k in s.smooth_upto(k_max) for iv in _intervals_of(k, fld.D)]
-    result.sort(key=_LO)
+    result.sort(key=attrgetter("lo"))
     return result
+
+
+def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
+    """(B, f, c) for exact integer keys of the endpoints with k <= x: the
+    key of a real v is floor(2^B*v), and f, c are the floor and ceiling
+    of 2^B*r, r = sqrt(3/D).
+
+    Then ((j << B) - c) // k and ((j << B) + f) // k are the keys of
+    (j -/+ r)/k: each integer numerator is at most the real one and less
+    than 1 below it, so no multiple of k lies in between.  Keys never
+    reverse an order, and with B = bitlength(4*D*x^4) they separate.
+    Two endpoints with j <= k <= x (or 0, 1) differ by (P + Q*r)/(k*k')
+    with |P| <= x^2, |Q| <= 2x.  If D*P^2 != 3*Q^2, |D*P^2 - 3*Q^2| >= 1
+    gives |P + Q*r| >= 1/(D*|P - Q*r|) >= 1/(3*D*x^2); if D*P^2 = 3*Q^2,
+    r is rational, so the field has D = 3, r = 1 and |P + Q| >= 1.  So
+    distinct endpoints lie at least 1/(3*D*x^4) > 2^-B apart and get
+    distinct keys.
+    """
+    B = (4 * D * max(x, 1) ** 4).bit_length()
+    f = math.isqrt((3 << 2 * B) // D)
+    c = f if f * f * D == 3 << 2 * B else f + 1
+    return B, f, c
+
+
+def _keyed_intervals_of(k: int, B: int, f: int, c: int):
+    """`_intervals_of(k, D)` as (lo_key, k, j, hi_key) tuples, keys from
+    `_endpoint_keys(D, x)`: tuple order is the left-end order, with ties
+    (D = 3 only) by k, then j."""
+    return (
+        (((j << B) - c) // k, k, j, ((j << B) + f) // k)
+        for j in range(k + 1)
+        if math.gcd(j, k) == 1
+    )
 
 
 def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
@@ -201,32 +230,52 @@ def theorem2_bound(fld: QuadField) -> int:
     return b
 
 
+def _sweep_keys(family: list[tuple[int, int, int, int]], pos: int, reach: int) -> tuple[int, int]:
+    """Resume the sweep of a key-sorted family at pos, where [0, reach)
+    is covered and family[:pos] lies within it: extend the reach over
+    the items that start below it, and return (pos, reach) at the first
+    one that does not."""
+    while pos < len(family) and family[pos][0] < reach:
+        if family[pos][3] > reach:
+            reach = family[pos][3]
+        pos += 1
+    return pos, reach
+
+
 def certify_euclidean(
     fld: QuadField, s: SSet, k_max: int | None = None
 ) -> CoverCertificate | Verdict:
     """Run the covering procedure: add the intervals of each S-smooth
     k <= X = 3*q^2 (q = smallest prime not in S) in increasing k to one
-    sorted family, and sweep it after each k.
+    family sorted by exact integer endpoint keys, until it covers [0, 1].
 
     Adding intervals never uncovers a point, so the first k that covers
-    is the minimal sufficient k_max; the family swept at each k equals
-    `intervals(fld, s, k)` element for element.  Returns that
-    certificate, or an "unknown" Verdict when D > 3*q^2 (no cover can
-    exist) or no cover is found up to X.
+    is the minimal sufficient k_max.  Every interval of family[:pos]
+    starts below the reach and ends at or below it, so after each k the
+    sweep resumes at pos.  An interval inserted before pos sorts before
+    one of family[:pos] of no larger k, so it starts and ends no later
+    and keeps that true; the one it pushes to pos is swept again, which
+    changes nothing.  The keys only choose where to stop: the
+    certificate comes from `covers_unit` on the `Interval`s of the final
+    family, which equals `intervals(fld, s, k_max)` element for element.
+    Returns that certificate, or an "unknown" Verdict when D > 3*q^2 (no
+    cover can exist) or no cover is found up to X.
     """
     q = s.smallest_missing_prime()
     x = 3 * q * q if k_max is None else k_max
     if fld.D > 3 * q * q:
         return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
-    family: list[Interval] = []
+    B, f, c = _endpoint_keys(fld.D, x)
+    family: list[tuple[int, int, int, int]] = []
+    pos, reach = 0, 0
     for cand in s.smooth():
         if cand > x:
             break
-        for iv in _intervals_of(cand, fld.D):
-            bisect.insort_right(family, iv, key=_LO)
-        result = covers_unit(family, d=fld.d, s=s)
-        if isinstance(result, CoverCertificate):
-            return result
+        for iv in _keyed_intervals_of(cand, B, f, c):
+            bisect.insort_right(family, iv)
+        pos, reach = _sweep_keys(family, pos, reach)
+        if reach > 1 << B:
+            return covers_unit([Interval.make(j, k, fld.D) for _, k, j, _ in family], d=fld.d, s=s)
     return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")
 
 

@@ -16,7 +16,7 @@ from seuclid.certs import (
     verify_certificate_obj,
 )
 from seuclid.covering import certify_euclidean, residual, theorem2_bound
-from seuclid.disks import certify_exceptional, table_disk_certificate
+from seuclid.disks import certify_exceptional, find_uncovered_cell, table_disk_certificate
 from seuclid.exact import SSet, primes_below, squarefree
 from seuclid.field import make_field
 from seuclid.witness import certify_non_euclidean
@@ -145,6 +145,24 @@ def test_verify_rejects_nonpositive_bundle_k_max(k_max):
     obj = certificate_to_obj(certify_exceptional(15, 3))
     obj["payload"]["k_max"] = k_max
     assert verify_certificate_obj(obj) is False
+
+
+def test_verify_rejects_piece_with_another_radicand():
+    # the (10, 2) line's ends use sqrt(2); an end in sqrt(3) cannot be compared
+    obj = certificate_to_obj(certify_exceptional(10, 2))
+    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
+    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "10"}, "m": 3}
+    assert verify_certificate_obj(obj) is False
+
+
+@pytest.mark.parametrize("depth", [0, -5])
+def test_verify_rejects_nonpositive_subdivision_depth(depth):
+    obj = certificate_to_obj(table_disk_certificate(5, subdivision_depth=40))
+    obj["payload"]["subdivision_depth"] = depth
+    assert verify_certificate_obj(obj) is False
+    # library callers of the scan still get the ValueError
+    with pytest.raises(ValueError):
+        find_uncovered_cell(certificate_from_obj(obj))
 
 
 def test_verify_rejects_non_smooth_interval():

@@ -1,6 +1,8 @@
 """Command-line behavior: verdicts, exit codes, certificate files, rendering."""
 import json
 
+import pytest
+
 from seuclid.cli import main
 
 
@@ -120,3 +122,31 @@ def test_verify_bad_bundle_exit_3(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", str(path)]) == 3
         assert "verification FAILED" in capsys.readouterr().out
+
+
+def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
+    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "10"}, "m": 3}
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verification FAILED" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("depth", [0, -5])
+def test_verify_nonpositive_subdivision_depth_exit_3(depth, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", "35", "--s", "7", "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["payload"]["subdivision_depth"] = depth
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "verification FAILED" in captured.out
+    assert captured.err == ""

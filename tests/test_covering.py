@@ -61,17 +61,99 @@ def test_intervals_order_is_the_stable_surd_sort(d, monkeypatch):
     assert intervals(fld, s, 60) == want
     if d == 3:
         assert any(surd_cmp(a.lo, b.lo) == 0 for a, b in zip(want, want[1:]))
-    # the one-pass search sweeps that same family after each k; a sweep
-    # that never covers lets it run through every candidate
-    swept = []
+    # the search orders the same family by integer keys, for every k it
+    # may stop at, and hands it to covers_unit once, at the first cover
+    B, f, c = covering._endpoint_keys(fld.D, 60)
+    keyed = []
+    for k in s.smooth_upto(60):
+        keyed.extend(covering._keyed_intervals_of(k, B, f, c))
+        want = [(iv.j, iv.k) for iv in intervals(fld, s, k)]
+        assert [(j, m) for _, m, j, _ in sorted(keyed)] == want
+    received = []
 
-    def no_cover(family, *, d, s):
-        swept.append(list(family))
-        return Verdict("unknown", None, "never covers")
+    def spy(family, *, d, s):
+        received.append(list(family))
+        return covers_unit(family, d=d, s=s)
 
-    monkeypatch.setattr(covering, "covers_unit", no_cover)
-    certify_euclidean(fld, s, 60)
-    assert swept == [intervals(fld, s, k) for k in s.smooth_upto(60)]
+    monkeypatch.setattr(covering, "covers_unit", spy)
+    cert = certify_euclidean(fld, s, 60)
+    assert isinstance(cert, CoverCertificate)
+    assert received == [intervals(fld, s, cert.k_max)]
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 67, 2999])
+def test_interval_keys_are_floors(d):
+    # each key is floor(2^B * endpoint), next to the Interval it stands for
+    D = make_field(d).D
+    B, f, c = covering._endpoint_keys(D, 40)
+    for k in range(1, 41):
+        pairs = zip(covering._keyed_intervals_of(k, B, f, c), covering._intervals_of(k, D), strict=True)
+        for (lo_key, m, j, hi_key), iv in pairs:
+            assert (j, m) == (iv.j, iv.k)
+            for key, v in ((lo_key, iv.lo), (hi_key, iv.hi)):
+                assert SurdValue.from_rational(Fraction(key, 1 << B), D) <= v
+                assert v < SurdValue.from_rational(Fraction(key + 1, 1 << B), D)
+
+
+def _key(v, B, f, c):
+    """floor(2^B * v) for v = (j + s*sqrt(3/D))/k, by the formulas of
+    covering._keyed_intervals_of."""
+    return ((v.j << B) + (f if v.s > 0 else -c if v.s < 0 else 0)) // v.k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([1, 3]), st.sampled_from([d for d in range(1, 3001) if squarefree(d)])),
+    st.integers(min_value=1, max_value=2000),
+    st.data(),
+)
+def test_endpoint_keys_order_like_surd_cmp(d, x, data):
+    """Keys of endpoints (j -/+ sqrt(3/D))/k with 0 <= j <= k <= x, and of
+    0 and 1, compare exactly as surd_cmp does; each is a floor."""
+    D = make_field(d).D
+    B, f, c = covering._endpoint_keys(D, x)
+    ends = [SurdValue(0, 0, 1, D), SurdValue(1, 0, 1, D)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        # a second endpoint of each pair sits next to the first, where
+        # keys are tightest
+        k = data.draw(st.integers(min_value=1, max_value=x))
+        j = data.draw(st.integers(min_value=0, max_value=k))
+        ends.append(SurdValue(j, data.draw(st.sampled_from([-1, 1])), k, D))
+        k2 = data.draw(st.integers(min_value=1, max_value=x))
+        near = math.floor(k2 * ends[-1].approx()) + data.draw(st.integers(min_value=-1, max_value=2))
+        ends.append(SurdValue(min(max(near, 0), k2), data.draw(st.sampled_from([-1, 1])), k2, D))
+    keys = [_key(v, B, f, c) for v in ends]
+    for v, key in zip(ends, keys):
+        assert SurdValue.from_rational(Fraction(key, 1 << B), D) <= v
+        assert v < SurdValue.from_rational(Fraction(key + 1, 1 << B), D)
+    for u, ku in zip(ends, keys):
+        for v, kv in zip(ends, keys):
+            assert (ku > kv) - (ku < kv) == surd_cmp(u, v)
+
+
+@pytest.mark.parametrize("d, s", [(67, S235), (143, S235), (997, SSet.from_iterable(primes_below(37)))])
+def test_key_search_resumes_where_it_stopped(d, s, monkeypatch):
+    # after each k the sweep resumes at the position and reach where the
+    # last one stopped, with everything before that position inside the
+    # reach, and stops at the first interval that starts at or beyond it
+    calls = []
+    real = covering._sweep_keys
+
+    def spy(family, pos, reach):
+        out = real(family, pos, reach)
+        calls.append((list(family), pos, reach, *out))
+        return out
+
+    monkeypatch.setattr(covering, "_sweep_keys", spy)
+    assert isinstance(certify_euclidean(make_field(d), s), CoverCertificate)
+    assert calls[0][1:3] == (0, 0)
+    for before, after in zip(calls, calls[1:]):
+        assert after[1:3] == before[3:5]
+    for family, pos, reach, pos_out, reach_out in calls:
+        assert all(lo < reach and hi <= reach for lo, _, _, hi in family[:pos])
+        assert reach_out == max([reach] + [hi for *_, hi in family[pos:pos_out]])
+        assert all(lo < reach_out for lo, *_ in family[pos:pos_out])
+        assert pos_out == len(family) or family[pos_out][0] >= reach_out
 
 
 def test_covers_unit_d3():
