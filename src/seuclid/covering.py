@@ -3,9 +3,12 @@
 Builds the interval family I_j^k = ((j - sqrt(3/D))/k, (j + sqrt(3/D))/k)
 for S-smooth k, checks exact coverage of the closed unit interval,
 applies the discriminant sufficiency bound, and computes the uncovered
-residual gaps used in the exceptional-case analysis.  One exact sweep
-(`_sweep`) answers every coverage question: cover search, chain replay,
-residual gaps and the gap-line pieces in :mod:`seuclid.disks`.
+residual gaps used in the exceptional-case analysis.  Exact integer
+endpoint keys order the family and let the cover search choose
+k_max.  One exact sweep (`_sweep`) answers every coverage question
+that needs a proof: `covers_unit` certifies that k_max, and the same
+sweep serves chain replay, residual gaps and the gap-line pieces in
+:mod:`seuclid.disks`.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .exact import QuadSurd, SSet, SurdValue, surd_cmp
 from .field import QuadField
@@ -94,21 +96,6 @@ class Residual:
         return total
 
 
-def _intervals_of(k: int, D: int):
-    """The I_j^k of one k: 0 <= j <= k, gcd(j, k) = 1, in increasing j."""
-    return (Interval.make(j, k, D) for j in range(k + 1) if math.gcd(j, k) == 1)
-
-
-def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
-    """All I_j^k with S-smooth k <= k_max, 0 <= j <= k, gcd(j, k) = 1,
-    sorted by left endpoint; ties keep increasing k, then j."""
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    result = [iv for k in s.smooth_upto(k_max) for iv in _intervals_of(k, fld.D)]
-    result.sort(key=attrgetter("lo"))
-    return result
-
-
 def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
     """(B, f, c) for exact integer keys of the endpoints with k <= x: the
     key of a real v is floor(2^B*v), and f, c are the floor and ceiling
@@ -132,14 +119,30 @@ def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
 
 
 def _keyed_intervals_of(k: int, B: int, f: int, c: int):
-    """`_intervals_of(k, D)` as (lo_key, k, j, hi_key) tuples, keys from
-    `_endpoint_keys(D, x)`: tuple order is the left-end order, with ties
-    (D = 3 only) by k, then j."""
+    """The I_j^k of one k (0 <= j <= k, gcd(j, k) = 1, in increasing j)
+    as (lo_key, k, j, hi_key) tuples, keys from `_endpoint_keys(D, x)`
+    with k <= x: tuple order is the left-end order, with ties (D = 3
+    only) by k, then j."""
     return (
         (((j << B) - c) // k, k, j, ((j << B) + f) // k)
         for j in range(k + 1)
         if math.gcd(j, k) == 1
     )
+
+
+def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
+    """All I_j^k with S-smooth k <= k_max, 0 <= j <= k, gcd(j, k) = 1,
+    sorted by left endpoint; ties keep increasing k, then j."""
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    B, f, c = _endpoint_keys(fld.D, k_max)
+    family = sorted(iv for k in s.smooth_upto(k_max) for iv in _keyed_intervals_of(k, B, f, c))
+    return _built(family, fld.D)
+
+
+def _built(family: list[tuple[int, int, int, int]], D: int) -> list[Interval]:
+    """The `Interval`s of a key-sorted family, in its order."""
+    return [Interval.make(j, k, D) for _, k, j, _ in family]
 
 
 def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
@@ -230,16 +233,16 @@ def theorem2_bound(fld: QuadField) -> int:
     return b
 
 
-def _sweep_keys(family: list[tuple[int, int, int, int]], pos: int, reach: int) -> tuple[int, int]:
-    """Resume the sweep of a key-sorted family at pos, where [0, reach)
-    is covered and family[:pos] lies within it: extend the reach over
-    the items that start below it, and return (pos, reach) at the first
-    one that does not."""
-    while pos < len(family) and family[pos][0] < reach:
-        if family[pos][3] > reach:
-            reach = family[pos][3]
-        pos += 1
-    return pos, reach
+def _key_reach(family: list[tuple[int, int, int, int]]) -> int:
+    """The key of the end of the covered prefix [0, reach) that the sweep
+    of a key-sorted family reaches from 0."""
+    reach = 0
+    for lo, _, _, hi in family:
+        if lo >= reach:
+            break
+        if hi > reach:
+            reach = hi
+    return reach
 
 
 def certify_euclidean(
@@ -250,16 +253,11 @@ def certify_euclidean(
     family sorted by exact integer endpoint keys, until it covers [0, 1].
 
     Adding intervals never uncovers a point, so the first k that covers
-    is the minimal sufficient k_max.  Every interval of family[:pos]
-    starts below the reach and ends at or below it, so after each k the
-    sweep resumes at pos.  An interval inserted before pos sorts before
-    one of family[:pos] of no larger k, so it starts and ends no later
-    and keeps that true; the one it pushes to pos is swept again, which
-    changes nothing.  The keys only choose where to stop: the
-    certificate comes from `covers_unit` on the `Interval`s of the final
-    family, which equals `intervals(fld, s, k_max)` element for element.
-    Returns that certificate, or an "unknown" Verdict when D > 3*q^2 (no
-    cover can exist) or no cover is found up to X.
+    is the minimal sufficient k_max.  The keys only choose where to
+    stop: the certificate comes from `covers_unit` on the `Interval`s of
+    the final family, which is `intervals(fld, s, k_max)`.  Returns that
+    certificate, or an "unknown" Verdict when D > 3*q^2 (no cover can
+    exist) or no cover is found up to X.
     """
     q = s.smallest_missing_prime()
     x = 3 * q * q if k_max is None else k_max
@@ -267,15 +265,13 @@ def certify_euclidean(
         return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
     B, f, c = _endpoint_keys(fld.D, x)
     family: list[tuple[int, int, int, int]] = []
-    pos, reach = 0, 0
     for cand in s.smooth():
         if cand > x:
             break
         for iv in _keyed_intervals_of(cand, B, f, c):
             bisect.insort_right(family, iv)
-        pos, reach = _sweep_keys(family, pos, reach)
-        if reach > 1 << B:
-            return covers_unit([Interval.make(j, k, fld.D) for _, k, j, _ in family], d=fld.d, s=s)
+        if _key_reach(family) > 1 << B:
+            return covers_unit(_built(family, fld.D), d=fld.d, s=s)
     return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")
 
 

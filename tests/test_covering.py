@@ -58,17 +58,13 @@ def test_intervals_order_is_the_stable_surd_sort(d, monkeypatch):
     built = [(j, k) for k in s.smooth_upto(60) for j in range(k + 1) if math.gcd(j, k) == 1]
     ivs = [Interval.make(j, k, fld.D) for j, k in built]
     want = sorted(ivs, key=functools.cmp_to_key(lambda u, v: surd_cmp(u.lo, v.lo)))
-    assert intervals(fld, s, 60) == want
     if d == 3:
         assert any(surd_cmp(a.lo, b.lo) == 0 for a, b in zip(want, want[1:]))
-    # the search orders the same family by integer keys, for every k it
-    # may stop at, and hands it to covers_unit once, at the first cover
-    B, f, c = covering._endpoint_keys(fld.D, 60)
-    keyed = []
-    for k in s.smooth_upto(60):
-        keyed.extend(covering._keyed_intervals_of(k, B, f, c))
-        want = [(iv.j, iv.k) for iv in intervals(fld, s, k)]
-        assert [(j, m) for _, m, j, _ in sorted(keyed)] == want
+    # the integer keys give that order for every k the search may stop
+    # at; a stable sort keeps it on the prefix of intervals with k <= k_max
+    for k_max in s.smooth_upto(60):
+        assert intervals(fld, s, k_max) == [iv for iv in want if iv.k <= k_max]
+    # the search hands covers_unit that family once, at the first cover
     received = []
 
     def spy(family, *, d, s):
@@ -87,7 +83,8 @@ def test_interval_keys_are_floors(d):
     D = make_field(d).D
     B, f, c = covering._endpoint_keys(D, 40)
     for k in range(1, 41):
-        pairs = zip(covering._keyed_intervals_of(k, B, f, c), covering._intervals_of(k, D), strict=True)
+        ivs = [Interval.make(j, k, D) for j in range(k + 1) if math.gcd(j, k) == 1]
+        pairs = zip(covering._keyed_intervals_of(k, B, f, c), ivs, strict=True)
         for (lo_key, m, j, hi_key), iv in pairs:
             assert (j, m) == (iv.j, iv.k)
             for key, v in ((lo_key, iv.lo), (hi_key, iv.hi)):
@@ -132,28 +129,23 @@ def test_endpoint_keys_order_like_surd_cmp(d, x, data):
 
 
 @pytest.mark.parametrize("d, s", [(67, S235), (143, S235), (997, SSet.from_iterable(primes_below(37)))])
-def test_key_search_resumes_where_it_stopped(d, s, monkeypatch):
-    # after each k the sweep resumes at the position and reach where the
-    # last one stopped, with everything before that position inside the
-    # reach, and stops at the first interval that starts at or beyond it
-    calls = []
-    real = covering._sweep_keys
+def test_key_search_stops_at_the_first_covering_k(d, s):
+    # the intervals with S-smooth k <= k_max cover [0, 1], and those of
+    # the S-smooth k below it do not
+    fld = make_field(d)
+    cert = certify_euclidean(fld, s)
+    assert isinstance(cert, CoverCertificate)
+    ks = list(s.smooth_upto(cert.k_max))
+    assert ks[-1] == cert.k_max
+    assert isinstance(covers_unit(intervals(fld, s, cert.k_max)), CoverCertificate)
+    assert isinstance(covers_unit(intervals(fld, s, ks[-2])), Verdict)
 
-    def spy(family, pos, reach):
-        out = real(family, pos, reach)
-        calls.append((list(family), pos, reach, *out))
-        return out
 
-    monkeypatch.setattr(covering, "_sweep_keys", spy)
-    assert isinstance(certify_euclidean(make_field(d), s), CoverCertificate)
-    assert calls[0][1:3] == (0, 0)
-    for before, after in zip(calls, calls[1:]):
-        assert after[1:3] == before[3:5]
-    for family, pos, reach, pos_out, reach_out in calls:
-        assert all(lo < reach and hi <= reach for lo, _, _, hi in family[:pos])
-        assert reach_out == max([reach] + [hi for *_, hi in family[pos:pos_out]])
-        assert all(lo < reach_out for lo, *_ in family[pos:pos_out])
-        assert pos_out == len(family) or family[pos_out][0] >= reach_out
+def test_key_reach_keeps_the_furthest_end():
+    # a nested interval does not pull the reach back, and the sweep
+    # stops at the first interval that starts at or beyond the reach
+    family = [(-5, 1, 0, 10), (1, 3, 1, 3), (8, 2, 1, 20), (20, 1, 1, 30)]
+    assert covering._key_reach(family) == 20
 
 
 def test_covers_unit_d3():
