@@ -180,7 +180,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
                 d=d, s=s, disks=disks, subdivision_depth=int(payload["subdivision_depth"])
             )
         if kind == "witness":
-            (p,) = s.primes
+            p = _one_prime(kind, s)
             return WitnessCertificate(
                 d=d,
                 p=p,
@@ -189,7 +189,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
                 bound=_read_frac(payload["bound"]),
             )
         if kind == "exceptional-bundle":
-            (p,) = s.primes
+            p = _one_prime(kind, s)
             lines = tuple(
                 GapLineCert(
                     y0=_read_frac(line["y0"]),
@@ -209,6 +209,12 @@ def certificate_from_obj(obj: Any) -> Certificate:
         raise
     except Exception as exc:
         raise CertificateParseError(f"malformed certificate: {exc}") from exc
+
+
+def _one_prime(kind: str, s: SSet) -> int:
+    if len(s) != 1:
+        raise CertificateParseError(f"{kind} certificate: s must list exactly one prime, got {list(s.primes)}")
+    return s.primes[0]
 
 
 def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:

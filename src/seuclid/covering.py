@@ -4,11 +4,12 @@ Builds the interval family I_j^k = ((j - sqrt(3/D))/k, (j + sqrt(3/D))/k)
 for S-smooth k, checks exact coverage of the closed unit interval,
 applies the discriminant sufficiency bound, and computes the uncovered
 residual gaps used in the exceptional-case analysis.  Exact integer
-endpoint keys order the family and let the cover search choose
-k_max.  One exact sweep (`_sweep`) answers every coverage question
-that needs a proof: `covers_unit` certifies that k_max, and the same
-sweep serves chain replay, residual gaps and the gap-line pieces in
-:mod:`seuclid.disks`.
+endpoint keys order the family, and one greedy sweep over those keys
+(`_key_chain`) builds every cover chain: the cover search's, which
+also fixes the minimal k_max, and `covers_unit`'s.  The keys compare
+exactly as the endpoints do, and `seuclid verify` replays each chain
+with surd arithmetic.  One exact sweep (`_sweep`) serves that replay,
+residual gaps and the gap-line pieces in :mod:`seuclid.disks`.
 """
 from __future__ import annotations
 
@@ -97,20 +98,20 @@ class Residual:
 
 
 def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
-    """(B, f, c) for exact integer keys of the endpoints with k <= x: the
-    key of a real v is floor(2^B*v), and f, c are the floor and ceiling
-    of 2^B*r, r = sqrt(3/D).
+    """(B, f, c) for exact integer keys of the endpoints with k <= x and
+    |j| <= x: the key of a real v is floor(2^B*v), and f, c are the floor
+    and ceiling of 2^B*r, r = sqrt(3/D).
 
     Then ((j << B) - c) // k and ((j << B) + f) // k are the keys of
     (j -/+ r)/k: each integer numerator is at most the real one and less
     than 1 below it, so no multiple of k lies in between.  Keys never
     reverse an order, and with B = bitlength(4*D*x^4) they separate.
-    Two endpoints with j <= k <= x (or 0, 1) differ by (P + Q*r)/(k*k')
-    with |P| <= x^2, |Q| <= 2x.  If D*P^2 != 3*Q^2, |D*P^2 - 3*Q^2| >= 1
-    gives |P + Q*r| >= 1/(D*|P - Q*r|) >= 1/(3*D*x^2); if D*P^2 = 3*Q^2,
-    r is rational, so the field has D = 3, r = 1 and |P + Q| >= 1.  So
-    distinct endpoints lie at least 1/(3*D*x^4) > 2^-B apart and get
-    distinct keys.
+    Two endpoints with |j| <= x, 1 <= k <= x (or 0, 1) differ by
+    (P + Q*r)/(k*k') with |P| <= 2x^2, |Q| <= 2x.  If D*P^2 != 3*Q^2,
+    |D*P^2 - 3*Q^2| >= 1 gives |P + Q*r| >= 1/(D*|P - Q*r|) >= 1/(4*D*x^2);
+    if D*P^2 = 3*Q^2, r is rational, so the field has D = 3, r = 1 and
+    |P + Q| >= 1.  So distinct endpoints lie at least 1/(4*D*x^4) > 2^-B
+    apart and get distinct keys.
     """
     B = (4 * D * max(x, 1) ** 4).bit_length()
     f = math.isqrt((3 << 2 * B) // D)
@@ -137,12 +138,35 @@ def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
         raise ValueError("k_max must be positive")
     B, f, c = _endpoint_keys(fld.D, k_max)
     family = sorted(iv for k in s.smooth_upto(k_max) for iv in _keyed_intervals_of(k, B, f, c))
-    return _built(family, fld.D)
+    return [Interval.make(j, k, fld.D) for _, k, j, _ in family]
 
 
-def _built(family: list[tuple[int, int, int, int]], D: int) -> list[Interval]:
-    """The `Interval`s of a key-sorted family, in its order."""
-    return [Interval.make(j, k, D) for _, k, j, _ in family]
+def _key_chain(family: list[tuple[int, int, int, int]], one: int) -> list[tuple[int, int, int, int]]:
+    """The greedy chain of a key-sorted (lo_key, k, j, hi_key) family,
+    swept from 0 up to the key `one` of 1.
+
+    The reach starts at 0, which must lie strictly inside some interval;
+    each link is the first interval with the largest hi_key among those
+    whose lo_key lies below the reach, and its hi_key is the next reach.
+    The chain covers [0, 1] iff its last reach passes `one`; otherwise
+    that reach (0 with no link) is the first uncovered point.
+    """
+    chain = []
+    reach = 0
+    best = None
+    for iv in family:
+        if iv[0] >= reach:
+            if best is None or best[3] <= reach:
+                return chain
+            chain.append(best)
+            reach = best[3]
+            if reach > one or iv[0] >= reach:
+                return chain
+        if best is None or iv[3] > best[3]:
+            best = iv
+    if best is not None and best[3] > reach:
+        chain.append(best)
+    return chain
 
 
 def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
@@ -183,32 +207,31 @@ def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
 
 
 def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | Verdict:
-    """Greedy cover with exact surd comparisons.
+    """Greedy cover of the closed interval [0, 1] by `ivs`, in order of
+    left end (ties keep increasing k, then j).
 
-    The reach starts at 0, which must lie strictly inside some interval;
-    each step extends it by the interval with lo < reach maximizing hi,
-    which is the last reach raiser of the sweep starting below the
-    reach; success once the reach exceeds 1.  Success covers the full
-    closed interval [0, 1].
+    The chain comes from `_key_chain` on exact integer endpoint keys,
+    which compare as the endpoints do for any j and k >= 1; `seuclid
+    verify` replays it with surd arithmetic.  A failure's `at` is the
+    first uncovered point: 0, or the right end of the last link.
     """
     if not ivs:
         return Verdict("unknown", None, "no intervals to cover [0, 1]")
     D = ivs[0].lo.D
-    zero = SurdValue.from_rational(0, D)
-    one = SurdValue.from_rational(1, D)
-    raisers, gaps = _sweep(ivs, surd_cmp, zero, one, first_gap_only=True)
-    if gaps:
-        return Verdict("unknown", None, f"first uncovered point {gaps[0][0]}", at=gaps[0][0])
-    chain: list[Interval] = []
-    reach = zero
-    i = 0
-    while surd_cmp(reach, one) <= 0:
-        while i + 1 < len(raisers) and surd_cmp(raisers[i + 1].lo, reach) < 0:
-            i += 1
-        chain.append(raisers[i])
-        reach = raisers[i].hi
-    k_max = max(iv.k for iv in chain)
-    return CoverCertificate(d=d, s=s, k_max=k_max, chain=tuple((iv.j, iv.k) for iv in chain))
+    if any(iv.lo.D != D for iv in ivs):
+        raise ValueError("intervals of different discriminants")
+    B, f, c = _endpoint_keys(D, max(max(iv.k, abs(iv.j)) for iv in ivs))
+    family = sorted((((iv.j << B) - c) // iv.k, iv.k, iv.j, ((iv.j << B) + f) // iv.k) for iv in ivs)
+    chain = _key_chain(family, 1 << B)
+    if chain and chain[-1][3] > 1 << B:
+        return _certificate(chain, d, s)
+    at = SurdValue(chain[-1][2], +1, chain[-1][1], D) if chain else SurdValue.from_rational(0, D)
+    return Verdict("unknown", None, f"first uncovered point {at}", at=at)
+
+
+def _certificate(chain: list[tuple[int, int, int, int]], d: int, s: SSet) -> CoverCertificate:
+    k_max = max(k for _, k, _, _ in chain)
+    return CoverCertificate(d=d, s=s, k_max=k_max, chain=tuple((j, k) for _, k, j, _ in chain))
 
 
 def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
@@ -233,18 +256,6 @@ def theorem2_bound(fld: QuadField) -> int:
     return b
 
 
-def _key_reach(family: list[tuple[int, int, int, int]]) -> int:
-    """The key of the end of the covered prefix [0, reach) that the sweep
-    of a key-sorted family reaches from 0."""
-    reach = 0
-    for lo, _, _, hi in family:
-        if lo >= reach:
-            break
-        if hi > reach:
-            reach = hi
-    return reach
-
-
 def certify_euclidean(
     fld: QuadField, s: SSet, k_max: int | None = None
 ) -> CoverCertificate | Verdict:
@@ -253,9 +264,12 @@ def certify_euclidean(
     family sorted by exact integer endpoint keys, until it covers [0, 1].
 
     Adding intervals never uncovers a point, so the first k that covers
-    is the minimal sufficient k_max.  The keys only choose where to
-    stop: the certificate comes from `covers_unit` on the `Interval`s of
-    the final family, which is `intervals(fld, s, k_max)`.  Returns that
+    is the minimal sufficient k_max.  After each k, `_key_chain` sweeps
+    the family from 0; before the first cover it stops within the first
+    intervals.  Its chain at the first cover is the certificate, the
+    same one `covers_unit(intervals(fld, s, k_max))` returns, with no
+    surd arithmetic: the keys compare exactly as the endpoints do, and
+    `seuclid verify` replays the chain with surds.  Returns that
     certificate, or an "unknown" Verdict when D > 3*q^2 (no cover can
     exist) or no cover is found up to X.
     """
@@ -270,8 +284,9 @@ def certify_euclidean(
             break
         for iv in _keyed_intervals_of(cand, B, f, c):
             bisect.insort_right(family, iv)
-        if _key_reach(family) > 1 << B:
-            return covers_unit(_built(family, fld.D), d=fld.d, s=s)
+        chain = _key_chain(family, 1 << B)
+        if chain[-1][3] > 1 << B:
+            return _certificate(chain, fld.d, s)
     return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")
 
 

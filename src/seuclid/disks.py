@@ -242,8 +242,10 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
     """
     if not cert.pieces:
         return False
-    if len({x.m for piece in cert.pieces for x in (piece.lo, piece.hi)} - {0}) > 1:
-        return False  # the piece ends must share one radicand to compare
+    radicands = {x.m for piece in cert.pieces for x in (piece.lo, piece.hi)} - {0}
+    m0 = min(radicands, default=0)
+    if any(math.isqrt(m0 * m) ** 2 != m0 * m for m in radicands):
+        return False  # the piece ends must share one radicand, up to a square, to compare
     if s_part_strip(cert.y0.denominator, s) != cert.y0.denominator:
         return False  # y0 denominator must be coprime to S
     for piece in cert.pieces:

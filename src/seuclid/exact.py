@@ -292,14 +292,21 @@ class QuadSurd:
             return value
         return cls(Fraction(value))
 
-    def _join(self, other: "QuadSurd") -> int:
-        if self.m and other.m and self.m != other.m:
+    def _join(self, other: "QuadSurd") -> tuple[int, Fraction]:
+        """The common radicand m and other's b over sqrt(m).  Radicands
+        m1, m2 whose product is a square r^2 share one, since
+        sqrt(m2) = (r/m1)*sqrt(m1); one isqrt decides it, no factoring."""
+        if not (self.m and other.m) or self.m == other.m:
+            return self.m or other.m, other.b
+        r = math.isqrt(self.m * other.m)
+        if r * r != self.m * other.m:
             raise ValueError(f"mismatched radicands: {self.m} != {other.m}")
-        return self.m or other.m
+        return self.m, other.b * r / self.m
 
     def __add__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
         other = self._coerce(other)
-        return QuadSurd(self.a + other.a, self.b + other.b, self._join(other))
+        m, b = self._join(other)
+        return QuadSurd(self.a + other.a, self.b + b, m)
 
     __radd__ = __add__
 
@@ -314,12 +321,8 @@ class QuadSurd:
 
     def __mul__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
         other = self._coerce(other)
-        m = self._join(other)
-        return QuadSurd(
-            self.a * other.a + self.b * other.b * m,
-            self.a * other.b + self.b * other.a,
-            m,
-        )
+        m, b = self._join(other)
+        return QuadSurd(self.a * other.a + self.b * b * m, self.a * b + self.b * other.a, m)
 
     __rmul__ = __mul__
 
@@ -359,7 +362,8 @@ class QuadSurd:
         return self._cmp(other) == 0
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.m))
+        # b^2*m and the sign of b agree across radicands equal up to a square
+        return hash((self.a, self.b * self.b * self.m, self.b > 0))
 
     def approx(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.m)

@@ -155,6 +155,18 @@ def test_verify_rejects_piece_with_another_radicand():
     assert verify_certificate_obj(obj) is False
 
 
+def test_verify_accepts_radicand_equal_up_to_a_square():
+    # sqrt(8)/6 is the produced sqrt(2)/3, written over another radicand
+    obj = certificate_to_obj(certify_exceptional(10, 2))
+    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
+    assert piece["hi"] == {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "3"}, "m": 2}
+    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "6"}, "m": 8}
+    assert verify_certificate_obj(obj) is True
+    # sqrt(8)/3 is another number, past the point where the bound reaches 1
+    piece["hi"]["b"] = {"num": "1", "den": "3"}
+    assert verify_certificate_obj(obj) is False
+
+
 @pytest.mark.parametrize("depth", [0, -5])
 def test_verify_rejects_nonpositive_subdivision_depth(depth):
     obj = certificate_to_obj(table_disk_certificate(5, subdivision_depth=40))
@@ -191,6 +203,20 @@ def test_parse_errors():
         certificate_from_obj({"kind": "cover"})
     with pytest.raises(CertificateParseError):
         certificate_from_obj({"kind": "nonsense", "d": 5, "s": [], "payload": {}})
+
+
+@pytest.mark.parametrize("kind, cert", [
+    ("witness", lambda: certify_non_euclidean(17, 2)),
+    ("exceptional-bundle", lambda: certify_exceptional(10, 2)),
+])
+@pytest.mark.parametrize("primes", [[2, 3], []])
+def test_parse_error_names_s_of_one_prime_kinds(kind, cert, primes):
+    obj = certificate_to_obj(cert())
+    assert obj["kind"] == kind
+    obj["s"] = primes
+    with pytest.raises(CertificateParseError) as info:
+        certificate_from_obj(obj)
+    assert str(info.value) == f"{kind} certificate: s must list exactly one prime, got {primes}"
 
 
 def test_save_and_load(tmp_path):

@@ -51,7 +51,7 @@ def test_intervals_sorted_and_reduced():
 
 
 @pytest.mark.parametrize("d", [1, 3, 67])
-def test_intervals_order_is_the_stable_surd_sort(d, monkeypatch):
+def test_intervals_order_is_the_stable_surd_sort(d):
     # D = 3 (d = 3) has ties in lo; they keep increasing k, then j
     fld = make_field(d)
     s = SSet.of(2, 3, 5)
@@ -64,17 +64,10 @@ def test_intervals_order_is_the_stable_surd_sort(d, monkeypatch):
     # at; a stable sort keeps it on the prefix of intervals with k <= k_max
     for k_max in s.smooth_upto(60):
         assert intervals(fld, s, k_max) == [iv for iv in want if iv.k <= k_max]
-    # the search hands covers_unit that family once, at the first cover
-    received = []
-
-    def spy(family, *, d, s):
-        received.append(list(family))
-        return covers_unit(family, d=d, s=s)
-
-    monkeypatch.setattr(covering, "covers_unit", spy)
+    # the search's chain is the cover of that family at its k_max
     cert = certify_euclidean(fld, s, 60)
     assert isinstance(cert, CoverCertificate)
-    assert received == [intervals(fld, s, cert.k_max)]
+    assert cert == covers_unit(intervals(fld, s, cert.k_max), d=d, s=s)
 
 
 @pytest.mark.parametrize("d", [1, 3, 10, 67, 2999])
@@ -105,7 +98,7 @@ def _key(v, B, f, c):
     st.data(),
 )
 def test_endpoint_keys_order_like_surd_cmp(d, x, data):
-    """Keys of endpoints (j -/+ sqrt(3/D))/k with 0 <= j <= k <= x, and of
+    """Keys of endpoints (j -/+ sqrt(3/D))/k with |j| <= x, k <= x, and of
     0 and 1, compare exactly as surd_cmp does; each is a floor."""
     D = make_field(d).D
     B, f, c = covering._endpoint_keys(D, x)
@@ -114,11 +107,11 @@ def test_endpoint_keys_order_like_surd_cmp(d, x, data):
         # a second endpoint of each pair sits next to the first, where
         # keys are tightest
         k = data.draw(st.integers(min_value=1, max_value=x))
-        j = data.draw(st.integers(min_value=0, max_value=k))
+        j = data.draw(st.integers(min_value=-x, max_value=x))
         ends.append(SurdValue(j, data.draw(st.sampled_from([-1, 1])), k, D))
         k2 = data.draw(st.integers(min_value=1, max_value=x))
         near = math.floor(k2 * ends[-1].approx()) + data.draw(st.integers(min_value=-1, max_value=2))
-        ends.append(SurdValue(min(max(near, 0), k2), data.draw(st.sampled_from([-1, 1])), k2, D))
+        ends.append(SurdValue(min(max(near, -x), x), data.draw(st.sampled_from([-1, 1])), k2, D))
     keys = [_key(v, B, f, c) for v in ends]
     for v, key in zip(ends, keys):
         assert SurdValue.from_rational(Fraction(key, 1 << B), D) <= v
@@ -141,11 +134,98 @@ def test_key_search_stops_at_the_first_covering_k(d, s):
     assert isinstance(covers_unit(intervals(fld, s, ks[-2])), Verdict)
 
 
-def test_key_reach_keeps_the_furthest_end():
+def test_key_chain_keeps_the_furthest_end():
     # a nested interval does not pull the reach back, and the sweep
     # stops at the first interval that starts at or beyond the reach
     family = [(-5, 1, 0, 10), (1, 3, 1, 3), (8, 2, 1, 20), (20, 1, 1, 30)]
-    assert covering._key_reach(family) == 20
+    chain = covering._key_chain(family, 100)
+    assert chain == [family[0], family[2]]
+    assert chain[-1][3] == 20
+
+
+def _surd_greedy(ivs, D):
+    """Reference greedy cover with surd_cmp alone: from reach 0, each link
+    is the first interval of `ivs` with the largest hi among those with
+    lo < reach.  Returns (chain, None) on a cover of [0, 1], else
+    (None, first uncovered point)."""
+    zero = SurdValue.from_rational(0, D)
+    one = SurdValue.from_rational(1, D)
+    chain, reach = [], zero
+    while surd_cmp(reach, one) <= 0:
+        best = None
+        for iv in ivs:
+            if surd_cmp(iv.lo, reach) < 0 and (best is None or surd_cmp(iv.hi, best.hi) > 0):
+                best = iv
+        if best is None or surd_cmp(best.hi, reach) <= 0:
+            return None, reach
+        chain.append((best.j, best.k))
+        reach = best.hi
+    return tuple(chain), None
+
+
+def _check_against_surd_greedy(ivs, D, d, s):
+    result = covers_unit(ivs, d=d, s=s)
+    chain, at = _surd_greedy(ivs, D)
+    if chain is None:
+        assert isinstance(result, Verdict) and result.kind == "unknown"
+        assert result.at == at
+    else:
+        assert isinstance(result, CoverCertificate)
+        assert result.chain == chain
+        assert result.k_max == max(k for _, k in chain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(3), st.sampled_from([d for d in range(1, 201) if squarefree(d)])),
+    st.sets(st.sampled_from((2, 3, 5, 7))),
+    st.integers(min_value=1, max_value=48),
+    st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.6]),
+    st.randoms(use_true_random=False),
+)
+def test_key_greedy_matches_surd_greedy_on_subsets(d, primes, k_max, drop, rnd):
+    """covers_unit on a random subset of intervals(fld, s, k_max), which
+    can leave gaps anywhere, gives the surd-only greedy's verdict, chain
+    and first uncovered point; d = 3 has tied left ends."""
+    fld = make_field(d)
+    s = SSet.from_iterable(primes)
+    ivs = [iv for iv in intervals(fld, s, k_max) if rnd.random() >= drop]
+    if ivs:
+        _check_against_surd_greedy(ivs, fld.D, d, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.just(3), st.sampled_from([d for d in range(1, 201) if squarefree(d)])),
+    st.lists(
+        st.integers(min_value=1, max_value=30).flatmap(
+            lambda k: st.tuples(st.integers(min_value=-3 * k, max_value=3 * k), st.just(k))
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_covers_unit_keys_any_j(d, pairs):
+    """covers_unit keys intervals with j outside [0, k] too: its key bound
+    grows with max |j|, so it still matches the surd-only greedy."""
+    fld = make_field(d)
+    order = functools.cmp_to_key(lambda u, v: surd_cmp(u.lo, v.lo) or u.k - v.k or u.j - v.j)
+    ivs = sorted((Interval.make(j, k, fld.D) for j, k in pairs), key=order)
+    _check_against_surd_greedy(ivs, fld.D, d, S0)
+    # and in any order: covers_unit sorts by left end itself
+    assert covers_unit(ivs[::-1], d=d) == covers_unit(ivs, d=d)
+
+
+def test_covers_unit_tied_right_ends_take_the_first():
+    # at D = 3, I_1^2 = (0, 1) and I_2^3 = (1/3, 1) tie at reach 1/2; the
+    # link is the first of them in left-end order
+    fld = make_field(3)
+    ivs = [Interval.make(j, k, fld.D) for j, k in ((0, 2), (1, 2), (2, 3), (2, 2))]
+    cert = covers_unit(ivs, d=3, s=S23)
+    assert cert.chain == ((0, 2), (1, 2), (2, 2)) == _surd_greedy(ivs, fld.D)[0]
+    # without I_2^2 the reach stalls at the first link's end, 1 = (1 + 1)/2
+    fail = covers_unit(ivs[:3], d=3, s=S23)
+    assert fail.at == SurdValue(1, +1, 2, fld.D) == _surd_greedy(ivs[:3], fld.D)[1]
 
 
 def test_covers_unit_d3():
@@ -171,6 +251,8 @@ def test_covers_unit_failure_d10():
     empty = covers_unit([])
     assert isinstance(empty, Verdict) and empty.certificate is None and empty.kind == "unknown"
     assert empty.at is None and empty.reason
+    with pytest.raises(ValueError):
+        covers_unit(intervals(make_field(10), S2, 4) + intervals(make_field(5), S2, 4))
 
 
 def test_certify_euclidean():

@@ -208,6 +208,23 @@ def test_quadsurd_arithmetic():
         r2 + QuadSurd(Fraction(0), Fraction(1), 3)
 
 
+def test_quadsurd_radicands_equal_up_to_a_square():
+    # sqrt(8)/6 = sqrt(2)/3, and sqrt(18)/9 = sqrt(2)/3 too
+    r2_3 = QuadSurd(Fraction(0), Fraction(1, 3), 2)
+    r8_6 = QuadSurd(Fraction(0), Fraction(1, 6), 8)
+    assert r8_6 == r2_3 and r2_3 == r8_6 and hash(r8_6) == hash(r2_3)
+    assert r8_6 == QuadSurd(Fraction(0), Fraction(1, 9), 18)
+    assert r8_6 - r2_3 == 0 and (r8_6 - r2_3).m == 0
+    assert r8_6 + r2_3 == QuadSurd(Fraction(0), Fraction(2, 3), 2)
+    assert r8_6 * r2_3 == Fraction(2, 9)
+    assert (r2_3 + 1) * r8_6 == QuadSurd(Fraction(2, 9), Fraction(1, 3), 2)
+    assert r8_6 < QuadSurd(Fraction(1, 2)) < r8_6 + Fraction(1, 20)  # sqrt(2)/3 ~ 0.471
+    assert hash(-r8_6) != hash(r8_6)
+    # 2*3 is no square: sqrt(2) and sqrt(3) stay incomparable
+    with pytest.raises(ValueError):
+        r8_6 + QuadSurd(Fraction(0), Fraction(1), 3)
+
+
 @settings(max_examples=200)
 @given(
     st.fractions(min_value=-5, max_value=5, max_denominator=40),
