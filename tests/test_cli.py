@@ -138,16 +138,6 @@ def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
     assert captured.err == ""
 
 
-def test_verify_radicand_equal_up_to_a_square_exit_0(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
-    obj = json.loads(path.read_text())
-    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
-    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "6"}, "m": 8}
-    path.write_text(json.dumps(obj))
-    assert main(["verify", str(path)]) == 0
-
-
 @pytest.mark.parametrize("argv, kind", [(["17", "--s", "2"], "witness"), (["10", "--s", "2"], "exceptional-bundle")])
 def test_verify_s_of_two_primes_exit_1(argv, kind, tmp_path, capsys):
     path = tmp_path / "c.json"
