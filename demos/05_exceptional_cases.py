@@ -17,7 +17,7 @@ s = SSet.of(2)
 print("d = 10, S = {2}: residual gaps around 1/3 and 2/3")
 for t in (3, 5, 7):
     res = residual(fld, s, 2**t)
-    widths = [(hi.to_quadsurd() - lo.to_quadsurd()).approx() for lo, hi in res.gaps]
+    widths = [(hi - lo).approx() for lo, hi in res.gaps]
     print(f"  k_max = 2^{t}: {len(res.gaps)} gaps, widths {[f'{w:.2e}' for w in widths]}")
 
 bundle = certify_exceptional(10, 2)

@@ -4,7 +4,6 @@ quadratic fields Q(sqrt(-d))."""
 __version__ = "0.1.0"
 
 from .exact import (  # noqa: F401
-    QuadSurd,
     SSet,
     SurdValue,
     legendre,

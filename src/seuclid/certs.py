@@ -26,7 +26,7 @@ from .disks import (
     verify_disk_cert,
     verify_exceptional_bundle,
 )
-from .exact import QuadSurd, SSet, s_part_strip
+from .exact import SSet, SurdValue, s_part_strip
 from .field import KElement, QuadField, make_field
 from .witness import CaseTag, WitnessCertificate, witness_bound
 
@@ -67,12 +67,13 @@ def _read_elem(obj: Any, fld: QuadField) -> KElement:
     return KElement(int(obj["a"]), int(obj["b"]), int(obj["c"]), fld)
 
 
-def _quadsurd(v: QuadSurd) -> dict[str, Any]:
-    return {"a": _frac(v.a), "b": _frac(v.b), "m": v.m}
+def _surd(v: SurdValue) -> dict[str, Any]:
+    # the file keeps a + b*sqrt(m) with rational a, b
+    return {"a": _frac(Fraction(v.P, v.M)), "b": _frac(Fraction(v.Q, v.M)), "m": v.m}
 
 
-def _read_quadsurd(obj: Any) -> QuadSurd:
-    return QuadSurd(_read_frac(obj["a"]), _read_frac(obj["b"]), int(obj["m"]))
+def _read_surd(obj: Any) -> SurdValue:
+    return _read_frac(obj["a"]) + _read_frac(obj["b"]) * SurdValue(P=0, Q=1, m=int(obj["m"]))
 
 
 Certificate = CoverCertificate | DiskCertificate | WitnessCertificate | ExceptionalBundle
@@ -144,8 +145,8 @@ def _piece_to_obj(piece: BoundPiece | PointPiece) -> dict[str, Any]:
     return {
         "type": "bound",
         "alpha": _elem(piece.alpha),
-        "lo": _quadsurd(piece.lo),
-        "hi": _quadsurd(piece.hi),
+        "lo": _surd(piece.lo),
+        "hi": _surd(piece.hi),
         "lo_closed": piece.lo_closed,
         "hi_closed": piece.hi_closed,
     }
@@ -223,8 +224,8 @@ def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
         return PointPiece(x=_read_frac(obj["x"]), alpha=alpha)
     return BoundPiece(
         alpha=alpha,
-        lo=_read_quadsurd(obj["lo"]),
-        hi=_read_quadsurd(obj["hi"]),
+        lo=_read_surd(obj["lo"]),
+        hi=_read_surd(obj["hi"]),
         lo_closed=bool(obj["lo_closed"]),
         hi_closed=bool(obj["hi_closed"]),
     )

@@ -16,9 +16,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import QuadSurd, SSet, SurdValue, surd_cmp
+from .exact import SSet, SurdValue, surd_cmp
 from .field import QuadField
 
 __all__ = [
@@ -35,13 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Open interval I_j^k, the projection of the strip of radius-1/k disks
     centered at the points (i + j*w)/k."""
 
     j: int
     k: int
+    D: int
     lo: SurdValue
     hi: SurdValue
 
@@ -50,7 +50,7 @@ class Interval:
 
     @classmethod
     def make(cls, j: int, k: int, D: int) -> "Interval":
-        return cls(j=j, k=k, lo=SurdValue(j, -1, k, D), hi=SurdValue(j, +1, k, D))
+        return cls(j, k, D, SurdValue.endpoint(j, -1, k, D), SurdValue.endpoint(j, +1, k, D))
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ class Residual:
 
     gaps: tuple[tuple[SurdValue, SurdValue], ...]
 
-    def total_length(self) -> QuadSurd:
-        total = QuadSurd(Fraction(0))
-        for lo, hi in self.gaps:
-            total = total + (hi.to_quadsurd() - lo.to_quadsurd())
-        return total
+    def total_length(self) -> SurdValue:
+        return sum((hi - lo for lo, hi in self.gaps), _ZERO)
+
+
+_ZERO, _ONE = SurdValue.rational(0), SurdValue.rational(1)
 
 
 def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
@@ -169,40 +169,40 @@ def _key_chain(family: list[tuple[int, int, int, int]], one: int) -> list[tuple[
     return chain
 
 
-def _sweep(items, cmp, zero, one, *, first_gap_only: bool = False):
-    """One left-to-right pass deciding which parts of [zero, one] the
-    items cover.
+def _sweep(items, *, first_gap_only: bool = False):
+    """One left-to-right pass deciding which parts of [0, 1] the items
+    cover.
 
-    Items carry `lo`, `hi`, `lo_closed` and `hi_closed`; `cmp` is a
-    three-way comparison of their endpoints.  The covered prefix is
-    [zero, reach), plus the point reach when `covered`.  An item that
-    meets the prefix extends it, in any order; one that does not opens a
-    gap and starts a new prefix.  In order of left end (closed before open on ties) the gaps are
-    exactly the maximal uncovered pieces of [zero, one], each a
-    (start, end) pair whose endpoints belong to it unless an item covers
-    them.  Returns (reach raisers, gaps); with `first_gap_only` it stops
-    at the first gap.
+    Items carry `SurdValue` ends `lo`, `hi` and flags `lo_closed`,
+    `hi_closed`; `surd_cmp` orders the ends.  The covered prefix is
+    [0, reach), plus the point reach when `covered`.  An item that meets
+    the prefix extends it, in any order; one that does not opens a gap
+    and starts a new prefix.  In order of left end (closed before open on
+    ties) the gaps are exactly the maximal uncovered pieces of [0, 1],
+    each a (start, end) pair whose endpoints belong to it unless an item
+    covers them.  Returns (reach raisers, gaps); with `first_gap_only` it
+    stops at the first gap.
     """
     raisers = []
     gaps = []
-    reach, covered = zero, False
+    reach, covered = _ZERO, False
     for item in items:
-        c = cmp(item.lo, reach)
+        c = surd_cmp(item.lo, reach)
         if c > 0 or (c == 0 and not (covered or item.lo_closed)):
-            if cmp(item.lo, one) > 0:
+            if surd_cmp(item.lo, _ONE) > 0:
                 break
             gaps.append((reach, item.lo))
             if first_gap_only:
                 return raisers, gaps
-        c = cmp(item.hi, reach)
+        c = surd_cmp(item.hi, reach)
         if c > 0:
             reach, covered = item.hi, item.hi_closed
             raisers.append(item)
         elif c == 0 and item.hi_closed:
             covered = True
-    c = cmp(reach, one)
+    c = surd_cmp(reach, _ONE)
     if c < 0 or (c == 0 and not covered):
-        gaps.append((reach, one))
+        gaps.append((reach, _ONE))
     return raisers, gaps
 
 
@@ -217,15 +217,15 @@ def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCe
     """
     if not ivs:
         return Verdict("unknown", None, "no intervals to cover [0, 1]")
-    D = ivs[0].lo.D
-    if any(iv.lo.D != D for iv in ivs):
+    D = ivs[0].D
+    if any(iv.D != D for iv in ivs):
         raise ValueError("intervals of different discriminants")
     B, f, c = _endpoint_keys(D, max(max(iv.k, abs(iv.j)) for iv in ivs))
     family = sorted((((iv.j << B) - c) // iv.k, iv.k, iv.j, ((iv.j << B) + f) // iv.k) for iv in ivs)
     chain = _key_chain(family, 1 << B)
     if chain and chain[-1][3] > 1 << B:
         return _certificate(chain, d, s)
-    at = SurdValue(chain[-1][2], +1, chain[-1][1], D) if chain else SurdValue.from_rational(0, D)
+    at = SurdValue.endpoint(chain[-1][2], +1, chain[-1][1], D) if chain else _ZERO
     return Verdict("unknown", None, f"first uncovered point {at}", at=at)
 
 
@@ -238,10 +238,7 @@ def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
     """Independently re-check a certificate chain with surd comparisons
     only: the sweep runs over the chain's intervals as given and rejects
     at the first gap, so any order that covers [0, 1] link by link passes."""
-    ivs = [Interval.make(j, k, D) for j, k in chain]
-    zero = SurdValue.from_rational(0, D)
-    one = SurdValue.from_rational(1, D)
-    return not _sweep(ivs, surd_cmp, zero, one, first_gap_only=True)[1]
+    return not _sweep([Interval.make(j, k, D) for j, k in chain], first_gap_only=True)[1]
 
 
 def theorem2_bound(fld: QuadField) -> int:
@@ -293,6 +290,4 @@ def certify_euclidean(
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     """Exact maximal closed gaps of [0, 1] left uncovered by the open
     intervals with S-smooth k <= k_max, sorted left to right."""
-    zero = SurdValue.from_rational(0, fld.D)
-    one = SurdValue.from_rational(1, fld.D)
-    return Residual(tuple(_sweep(intervals(fld, s, k_max), surd_cmp, zero, one)[1]))
+    return Residual(tuple(_sweep(intervals(fld, s, k_max))[1]))

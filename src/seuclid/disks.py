@@ -7,13 +7,12 @@ gap-line verifier used for d = 10 and d = 15.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import Verdict, _sweep, residual
-from .exact import QuadSurd, SSet, s_part_strip
+from .exact import SSet, SurdValue, s_part_strip
 from .field import KElement, QuadField, denom_s, make_field, s_norm
 
 __all__ = [
@@ -160,8 +159,8 @@ class BoundPiece:
     distance to alpha (see verify_gap_line)."""
 
     alpha: KElement
-    lo: QuadSurd
-    hi: QuadSurd
+    lo: SurdValue
+    hi: SurdValue
     lo_closed: bool
     hi_closed: bool
 
@@ -179,8 +178,8 @@ class PointPiece:
     hi_closed = True
 
     @property
-    def lo(self) -> QuadSurd:
-        return QuadSurd(self.x)
+    def lo(self) -> SurdValue:
+        return SurdValue.rational(self.x)
 
     hi = lo
 
@@ -205,10 +204,6 @@ def _line_point(fld: QuadField, x: Fraction, y0: Fraction) -> KElement:
     return KElement(
         x.numerator * y0.denominator, y0.numerator * x.denominator, den, fld
     )
-
-
-def _quad_cmp(x: QuadSurd, y: QuadSurd) -> int:
-    return (x - y).sign()
 
 
 def _piece_bound(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tuple[Fraction, Fraction, Fraction]:
@@ -260,14 +255,12 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
             return False
         a2, a1, a0 = _piece_bound(fld, s, cert.y0, piece.alpha)
         for x, closed in ((piece.lo, piece.lo_closed), (piece.hi, piece.hi_closed)):
-            c = (x * x * a2 + x * a1 + a0 - 1).sign()
-            if c > 0 or (c == 0 and closed):
+            bound = x * x * a2 + x * a1 + a0
+            if bound > 1 or (bound == 1 and closed):
                 return False
     # in order of left end, closed before open on ties
-    order = functools.cmp_to_key(lambda u, v: _quad_cmp(u.lo, v.lo) or v.lo_closed - u.lo_closed)
-    pieces = sorted(cert.pieces, key=order)
-    zero, one = QuadSurd(Fraction(0)), QuadSurd(Fraction(1))
-    return not _sweep(pieces, _quad_cmp, zero, one, first_gap_only=True)[1]
+    pieces = sorted(cert.pieces, key=lambda piece: (piece.lo, not piece.lo_closed))
+    return not _sweep(pieces, first_gap_only=True)[1]
 
 
 # --- built-in certificates -------------------------------------------------
@@ -333,10 +326,9 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
         # line y = 1/3; for x = r/s with s odd the S-norms are exactly
         # 2x^2+5/9 (alpha=w/2), 2(1-x)^2+5/9 (alpha=(2+w)/2) and
         # 8(x-1/2)^2+5/9 (alpha=(2+w)/4), the bounds _piece_bound derives
-        root2_3 = QuadSurd(Fraction(0), Fraction(1, 3), 2)  # sqrt(2)/3
-        root2_6 = QuadSurd(Fraction(0), Fraction(1, 6), 2)  # sqrt(2)/6
-        zero = QuadSurd(Fraction(0))
-        one = QuadSurd(Fraction(1))
+        root2_3 = SurdValue(P=0, Q=1, m=2, M=3)  # sqrt(2)/3
+        root2_6 = SurdValue(P=0, Q=1, m=2, M=6)  # sqrt(2)/6
+        zero, one = SurdValue.rational(0), SurdValue.rational(1)
         return GapLineCert(
             y0=Fraction(1, 3),
             pieces=(
@@ -350,7 +342,7 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
                 ),
                 BoundPiece(
                     alpha=KElement(2, 1, 4, fld),
-                    lo=QuadSurd(half) - root2_6, hi=QuadSurd(half) + root2_6,
+                    lo=half - root2_6, hi=half + root2_6,
                     lo_closed=False, hi_closed=False,
                 ),
             ),
@@ -366,12 +358,12 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
             pieces=(
                 BoundPiece(
                     alpha=KElement(0, 1, 1, fld),
-                    lo=QuadSurd(Fraction(0)), hi=QuadSurd(half),
+                    lo=SurdValue.rational(0), hi=SurdValue.rational(half),
                     lo_closed=False, hi_closed=False,
                 ),
                 BoundPiece(
                     alpha=KElement(1, 0, 1, fld),
-                    lo=QuadSurd(half), hi=QuadSurd(Fraction(1)),
+                    lo=SurdValue.rational(half), hi=SurdValue.rational(1),
                     lo_closed=False, hi_closed=False,
                 ),
                 PointPiece(x=Fraction(0), alpha=fld.element(a_at_0)),
@@ -401,22 +393,38 @@ class ExceptionalBundle:
     gap_lines: tuple[GapLineCert, ...]
 
 
+def _orbit_keeps_gaps_apart(p: int, around: dict[Fraction, tuple[SurdValue, SurdValue]]) -> bool:
+    """For each residual gap G around its rational r, with r' = p*r mod 1
+    and G' the gap around r': the image r' + p*(G - r) of G under
+    y -> p*y meets no gap H + n, for integers n, other than G' itself
+    (n = 0).  So the orbit argument may follow each missed line from G
+    to G' alone."""
+    for r, (lo, hi) in around.items():
+        r2 = p * r % 1
+        a, b = r2 + p * (lo - r), r2 + p * (hi - r)
+        for h, (h_lo, h_hi) in around.items():
+            # [a, b] + n meets [h_lo, h_hi] exactly for h_lo - b <= n <= h_hi - a
+            for n in range(-math.floor(b - h_lo), math.floor(h_hi - a) + 1):
+                if (h, n) != (r2, 0):
+                    return False
+    return True
+
+
 def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
     if bundle.k_max < 1:
         return False
     fld = make_field(bundle.d)
     s = SSet.of(bundle.p)
-    gaps = residual(fld, s, bundle.k_max)
     rationals = set(bundle.gap_rationals)
     # each residual gap contains exactly one of the claimed points, and
     # every claimed point lies in a gap
-    seen = set()
-    for lo, hi in gaps.gaps:
-        inside = [y for y in rationals if lo.to_quadsurd() <= QuadSurd(y) <= hi.to_quadsurd()]
+    around = {}
+    for lo, hi in residual(fld, s, bundle.k_max).gaps:
+        inside = [y for y in rationals if lo <= y <= hi]
         if len(inside) != 1:
             return False
-        seen.add(inside[0])
-    if seen != rationals:
+        around[inside[0]] = (lo, hi)
+    if around.keys() != rationals:
         return False
     # closure under multiplication by p modulo 1, and every orbit must
     # reach a line carrying a certificate
@@ -431,6 +439,8 @@ def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
             orbit = (bundle.p * orbit) % 1
         else:
             return False
+    if not _orbit_keeps_gaps_apart(bundle.p, around):
+        return False
     return all(verify_gap_line(fld, s, cert) for cert in bundle.gap_lines)
 
 

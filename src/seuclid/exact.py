@@ -1,9 +1,11 @@
 """Exact arithmetic kernel.
 
-S-part stripping, Legendre symbols, squarefree tests, and sign-exact
-comparison of quadratic-surd interval endpoints.  Everything works over
-plain integers and :class:`fractions.Fraction`; no floating point enters
-any certification path.
+S-part stripping, Legendre symbols, squarefree tests, and one exact
+real type, :class:`SurdValue` = (P + Q*sqrt(m))/M in integers, for both
+the covering-interval ends and the gap-line piece ends, with its
+sign-exact comparison `surd_cmp`.  Everything works over plain integers
+and :class:`fractions.Fraction`; no floating point enters any
+certification path.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "SSet",
     "SurdValue",
-    "QuadSurd",
     "is_prime",
     "primes_below",
     "squarefree",
@@ -177,198 +178,182 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True, eq=False, slots=True)
 class SurdValue:
-    """The real number (j + s*sqrt(3/D))/k, held exactly.
+    """The real number (P + Q*sqrt(m))/M, held exactly in integers.
 
-    j is any integer, s is -1, 0 or +1, k >= 1, D >= 3.  These are the
-    endpoints of the covering intervals; D is the absolute discriminant
-    so the width term sqrt(3/D) is irrational except at D = 3.
+    The covering-interval ends (j +/- sqrt(3/D))/k are
+    (j*D +/- sqrt(3*D))/(k*D) (see `endpoint`); gap-line ends such as
+    1/2 - sqrt(2)/6 are (3 - sqrt(2))/6.  The form is canonical: M >= 1,
+    gcd(P, Q, M) = 1, m = 0 exactly when Q = 0, and m is no perfect
+    square (its root folds into P).  m keeps its square factors, so
+    sqrt(8)/6 and sqrt(2)/3 are one number with two radicands: radicands
+    whose product is a square share one, and a single isqrt decides it.
+    Numbers whose radicands are not equal up to a square are unequal,
+    since sqrt(m) and sqrt(m') are then independent over Q; ordering
+    and arithmetic across them raise ValueError.  ints and Fractions mix
+    in as rationals.
     """
 
-    j: int
-    s: int
-    k: int
-    D: int
+    P: int
+    Q: int = 0
+    m: int = 0
+    M: int = 1
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.s not in (-1, 0, 1):
-            raise ValueError("s must be -1, 0 or +1")
-        if self.D < 3:
-            raise ValueError("D must be at least 3")
-        if self.s == 0:
-            # canonical form for rationals makes equality structural
-            g = math.gcd(self.j, self.k)
-            if g > 1:
-                object.__setattr__(self, "j", self.j // g)
-                object.__setattr__(self, "k", self.k // g)
+        P, Q, m, M = self.P, self.Q, self.m, self.M
+        if M < 1 or m < 0:
+            raise ValueError(f"need M >= 1 and m >= 0, got M = {M}, m = {m}")
+        r = math.isqrt(m)
+        if r * r != m:
+            if Q == 1 or Q == -1:
+                return  # already canonical: gcd(P, Q, M) = 1
+            if Q == 0:
+                m = 0
+        else:
+            P, Q, m = P + Q * r, 0, 0
+        g = math.gcd(P, Q, M)
+        for name, value in (("P", P // g), ("Q", Q // g), ("m", m), ("M", M // g)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def from_rational(cls, q: Fraction | int, D: int) -> "SurdValue":
-        q = Fraction(q)
-        return cls(q.numerator, 0, q.denominator, D)
+    def endpoint(cls, j: int, s: int, k: int, D: int) -> "SurdValue":
+        """(j + s*sqrt(3/D))/k for s in (-1, 0, 1), k >= 1 and D >= 3:
+        an end of the covering interval I_j^k, or j/k with s = 0."""
+        if s not in (-1, 0, 1) or k < 1 or D < 3:
+            raise ValueError(f"not an interval end: j = {j}, s = {s}, k = {k}, D = {D}")
+        # the hot path builds the fields as the generated __init__ does,
+        # without its keyword-argument dict
+        value = _new(cls)
+        _set(value, "P", j * D)
+        _set(value, "Q", s)
+        _set(value, "m", 3 * D)
+        _set(value, "M", k * D)
+        value.__post_init__()
+        return value
 
-    def to_quadsurd(self) -> "QuadSurd":
-        # sqrt(3/D) = sqrt(3*D)/D
-        return QuadSurd(Fraction(self.j, self.k), Fraction(self.s, self.k * self.D), 3 * self.D)
+    @classmethod
+    def rational(cls, q: Fraction | int) -> "SurdValue":
+        q = Fraction(q)
+        return cls(P=q.numerator, M=q.denominator)
 
     def approx(self) -> float:
         """Floating approximation, for rendering and display only."""
-        return (self.j + self.s * math.sqrt(3 / self.D)) / self.k
+        return (self.P + self.Q * math.sqrt(self.m)) / self.M
 
-    def __lt__(self, other: "SurdValue") -> bool:
-        return surd_cmp(self, other) < 0
-
-    def __le__(self, other: "SurdValue") -> bool:
-        return surd_cmp(self, other) <= 0
-
-    def __gt__(self, other: "SurdValue") -> bool:
-        return surd_cmp(self, other) > 0
-
-    def __ge__(self, other: "SurdValue") -> bool:
-        return surd_cmp(self, other) >= 0
-
-    def __str__(self) -> str:
-        if self.s == 0:
-            return f"{self.j}/{self.k}"
-        sgn = "+" if self.s > 0 else "-"
-        return f"({self.j} {sgn} sqrt(3/{self.D}))/{self.k}"
-
-
-def surd_cmp(x: SurdValue, y: SurdValue) -> int:
-    """Exact ordering of two surd values sharing one D: -1, 0 or +1.
-
-    Reduces to the sign of P + Q*sqrt(3/D) for integers P, Q; squaring
-    happens only after both terms are confirmed opposite in sign.
-    """
-    if x.D != y.D:
-        raise ValueError(f"mismatched discriminants: {x.D} != {y.D}")
-    p = x.j * y.k - y.j * x.k
-    q = x.s * y.k - y.s * x.k
-    if q == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    if (p > 0) == (q > 0):
-        return _sign(p)
-    lhs = x.D * p * p
-    rhs = 3 * q * q
-    if lhs == rhs:
-        return 0
-    return _sign(p) if lhs > rhs else _sign(q)
-
-
-@dataclass(frozen=True)
-class QuadSurd:
-    """A number a + b*sqrt(m) with rational a, b and integer radicand m >= 0.
-
-    Used for symbolic gap-line verification and for measuring residual
-    gap lengths; supports exact ring operations and sign determination.
-    """
-
-    a: Fraction
-    b: Fraction = Fraction(0)
-    m: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.m < 0:
-            raise ValueError("radicand must be nonnegative")
-        if self.b != 0:
-            r = math.isqrt(self.m)
-            if r * r == self.m:
-                object.__setattr__(self, "a", self.a + self.b * r)
-                object.__setattr__(self, "b", Fraction(0))
-                object.__setattr__(self, "m", 0)
-        if self.b == 0:
-            object.__setattr__(self, "m", 0)
-
-    @classmethod
-    def _coerce(cls, value: "QuadSurd | Fraction | int") -> "QuadSurd":
-        if isinstance(value, QuadSurd):
-            return value
-        return cls(Fraction(value))
-
-    def _join(self, other: "QuadSurd") -> tuple[int, Fraction]:
-        """The common radicand m and other's b over sqrt(m).  Radicands
-        m1, m2 whose product is a square r^2 share one, since
-        sqrt(m2) = (r/m1)*sqrt(m1); one isqrt decides it, no factoring."""
-        if not (self.m and other.m) or self.m == other.m:
-            return self.m or other.m, other.b
-        r = math.isqrt(self.m * other.m)
-        if r * r != self.m * other.m:
-            raise ValueError(f"mismatched radicands: {self.m} != {other.m}")
-        return self.m, other.b * r / self.m
-
-    def __add__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
-        other = self._coerce(other)
-        m, b = self._join(other)
-        return QuadSurd(self.a + other.a, self.b + b, m)
+    def __add__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
+        m, (P, Q, M) = _common(self, _coerce(other))
+        return SurdValue(P=self.P * M + P * self.M, Q=self.Q * M + Q * self.M, m=m, M=self.M * M)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "QuadSurd":
-        return QuadSurd(-self.a, -self.b, self.m)
+    def __neg__(self) -> "SurdValue":
+        return SurdValue(P=-self.P, Q=-self.Q, m=self.m, M=self.M)
 
-    def __sub__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
-        return self + (-self._coerce(other))
+    def __sub__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
+        return self + -_coerce(other)
 
-    def __rsub__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
-        return self._coerce(other) - self
+    def __rsub__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
+        return -self + other
 
-    def __mul__(self, other: "QuadSurd | Fraction | int") -> "QuadSurd":
-        other = self._coerce(other)
-        m, b = self._join(other)
-        return QuadSurd(self.a * other.a + self.b * b * m, self.a * b + self.b * other.a, m)
+    def __mul__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
+        m, (P, Q, M) = _common(self, _coerce(other))
+        return SurdValue(P=self.P * P + self.Q * Q * m, Q=self.P * Q + self.Q * P, m=m, M=self.M * M)
 
     __rmul__ = __mul__
 
-    def sign(self) -> int:
-        if self.b == 0:
-            return _sign(self.a.numerator)
-        if self.a == 0:
-            return _sign(self.b.numerator)
-        sa = _sign(self.a.numerator)
-        sb = _sign(self.b.numerator)
-        if sa == sb:
-            return sa
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.m
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+    def __floor__(self) -> int:
+        # m is no square, so Q*sqrt(m) lies in [t, t + 1) for the integer t
+        # below; then self lies in [(P + t)/M, (P + t + 1)/M), and no
+        # integer exceeds floor((P + t)/M) there
+        s = math.isqrt(self.Q * self.Q * self.m)
+        return (self.P + (s if self.Q >= 0 else -s - 1)) // self.M
 
-    def _cmp(self, other: "QuadSurd | Fraction | int") -> int:
-        return (self - self._coerce(other)).sign()
+    def __lt__(self, other: "SurdValue | Fraction | int") -> bool:
+        return surd_cmp(self, _coerce(other)) < 0
 
-    def __lt__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self._cmp(other) < 0
+    def __le__(self, other: "SurdValue | Fraction | int") -> bool:
+        return surd_cmp(self, _coerce(other)) <= 0
 
-    def __le__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self._cmp(other) <= 0
+    def __gt__(self, other: "SurdValue | Fraction | int") -> bool:
+        return surd_cmp(self, _coerce(other)) > 0
 
-    def __gt__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "QuadSurd | Fraction | int") -> bool:
-        return self._cmp(other) >= 0
+    def __ge__(self, other: "SurdValue | Fraction | int") -> bool:
+        return surd_cmp(self, _coerce(other)) >= 0
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (QuadSurd, Fraction, int)):
+        if not isinstance(other, (SurdValue, Fraction, int)):
             return NotImplemented
-        return self._cmp(other) == 0
+        other = _coerce(other)
+        over = _over(other, self.m or other.m)
+        if over is None:
+            return False  # sqrt(m) and sqrt(m') are independent over Q
+        P, Q, M = over
+        return self.P * M == P * self.M and self.Q * M == Q * self.M
 
     def __hash__(self) -> int:
-        # b^2*m and the sign of b agree across radicands equal up to a square
-        return hash((self.a, self.b * self.b * self.m, self.b > 0))
-
-    def approx(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.m)
+        # equal numbers share P/M, (Q/M)^2*m and the sign of Q; a rational
+        # hashes like the Fraction it equals
+        if not self.Q:
+            return hash(Fraction(self.P, self.M))
+        return hash((Fraction(self.P, self.M), Fraction(self.Q * self.Q * self.m, self.M * self.M), self.Q > 0))
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.m})"
+        if not self.Q:
+            return str(Fraction(self.P, self.M))
+        root = f"sqrt({self.m})" if abs(self.Q) == 1 else f"{abs(self.Q)}*sqrt({self.m})"
+        return f"({self.P} {'+' if self.Q > 0 else '-'} {root})/{self.M}"
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _coerce(value: SurdValue | Fraction | int) -> SurdValue:
+    return value if isinstance(value, SurdValue) else SurdValue.rational(value)
+
+
+def _over(y: SurdValue, m: int) -> tuple[int, int, int] | None:
+    """(P, Q, M) with y = (P + Q*sqrt(m))/M, for m = y.m, m = 0 = y.Q or
+    y.m = 0; else (m > 0) when m*y.m is a square r^2, from
+    sqrt(y.m) = (r/m)*sqrt(m); None when it is not."""
+    if y.m == m or not y.m:
+        return y.P, y.Q, y.M
+    r = math.isqrt(m * y.m)
+    if r * r != m * y.m:
+        return None
+    return y.P * m, y.Q * r, y.M * m
+
+
+def _common(x: SurdValue, y: SurdValue) -> tuple[int, tuple[int, int, int]]:
+    """One radicand m for x and y, and y's (P, Q, M) over it (x's are its
+    own fields); ValueError when the radicands are not equal up to a
+    square."""
+    m = x.m or y.m
+    over = _over(y, m)
+    if over is None:
+        raise ValueError(f"mismatched radicands: {x.m} != {y.m}")
+    return m, over
+
+
+def surd_cmp(x: SurdValue, y: SurdValue) -> int:
+    """Exact order of two surd values: -1, 0 or +1.
+
+    x - y = (p + q*sqrt(m))/(x.M*y.M) for integers p, q; squaring happens
+    only after the two terms are confirmed opposite in sign, and then
+    p^2 != m*q^2, since the common radicand m is no square.  Raises
+    ValueError when the radicands are not equal up to a square.
+    """
+    xM, yM = x.M, y.M
+    if x.m == y.m:
+        m = x.m
+        p = x.P * yM - y.P * xM
+        q = x.Q * yM - y.Q * xM
+    else:
+        m, (P, Q, M) = _common(x, y)
+        p = x.P * M - P * xM
+        q = x.Q * M - Q * xM
+    if p > 0:
+        return 1 if q >= 0 or p * p > m * q * q else -1
+    if p < 0:
+        return -1 if q <= 0 or p * p > m * q * q else 1
+    return _sign(q)

@@ -173,10 +173,7 @@ def test_criterion_08_residual_contraction():
     for t in range(2, 9):
         res = residual(fld, s, 2**t)
         for lo, hi in res.gaps:
-            third = any(
-                lo.to_quadsurd() <= y <= hi.to_quadsurd()
-                for y in (Fraction(1, 3), Fraction(2, 3))
-            )
+            third = any(lo <= y <= hi for y in (Fraction(1, 3), Fraction(2, 3)))
             assert third, f"gap at k_max = 2^{t} misses 1/3 and 2/3"
         lengths.append(res.total_length())
     for before, after in zip(lengths, lengths[1:]):
@@ -223,10 +220,9 @@ def test_criterion_10a_surd_cmp_against_high_precision():
     with mpmath.workdps(100):
         for _ in range(10**4):
             D = rng.choice([15, 20, 35, 40, 67, 143])
-            x = SurdValue(rng.randint(-40, 40), rng.choice([-1, 0, 1]), rng.randint(1, 40), D)
-            y = SurdValue(rng.randint(-40, 40), rng.choice([-1, 0, 1]), rng.randint(1, 40), D)
-            width = mpmath.sqrt(mpmath.mpf(3) / D)
-            diff = (x.j + x.s * width) / x.k - (y.j + y.s * width) / y.k
+            x = SurdValue.endpoint(rng.randint(-40, 40), rng.choice([-1, 0, 1]), rng.randint(1, 40), D)
+            y = SurdValue.endpoint(rng.randint(-40, 40), rng.choice([-1, 0, 1]), rng.randint(1, 40), D)
+            diff = (x.P + x.Q * mpmath.sqrt(x.m)) / x.M - (y.P + y.Q * mpmath.sqrt(y.m)) / y.M
             expected = 0 if abs(diff) < mpmath.mpf("1e-60") else int(mpmath.sign(diff))
             assert surd_cmp(x, y) == expected
 

@@ -15,7 +15,7 @@ from seuclid.certs import (
     save_certificate,
     verify_certificate_obj,
 )
-from seuclid.covering import certify_euclidean, residual, theorem2_bound
+from seuclid.covering import certify_euclidean, intervals, residual, theorem2_bound
 from seuclid.disks import certify_exceptional, find_uncovered_cell, table_disk_certificate
 from seuclid.exact import SSet, primes_below, squarefree
 from seuclid.field import make_field
@@ -118,10 +118,18 @@ def test_schema_1_0_bundle_still_verifies():
     the parser ignores both."""
     obj = certificate_to_obj(certify_exceptional(10, 2))
     obj["schema_version"] = "1.0"
-    gaps = residual(make_field(10), SSet.of(2), obj["payload"]["k_max"]).gaps
-    obj["payload"]["gaps"] = [
-        [{"j": v.j, "s": v.s, "k": v.k, "D": v.D} for v in gap] for gap in gaps
-    ]
+    fld, k_max = make_field(10), obj["payload"]["k_max"]
+    ivs = intervals(fld, SSet.of(2), k_max)
+    legacy = []
+    for lo, hi in residual(fld, SSet.of(2), k_max).gaps:
+        # a gap runs from the right end of one interval to the left end of another
+        left = next(iv for iv in ivs if iv.hi == lo)
+        right = next(iv for iv in ivs if iv.lo == hi)
+        legacy.append([
+            {"j": left.j, "s": 1, "k": left.k, "D": fld.D},
+            {"j": right.j, "s": -1, "k": right.k, "D": fld.D},
+        ])
+    obj["payload"]["gaps"] = legacy
     quadratics = [(2, 0, Fraction(5, 9)), (2, -4, Fraction(23, 9)), (8, -8, Fraction(23, 9))]
     for piece, coefficients in zip(obj["payload"]["gap_lines"][0]["pieces"], quadratics):
         for key, q in zip(("a2", "a1", "a0"), map(Fraction, coefficients)):

@@ -138,6 +138,41 @@ def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
     assert captured.err == ""
 
 
+_HALF = {"num": "1", "den": "2"}
+_NIL = {"num": "0", "den": "1"}
+
+# mutations of the first bound piece of the (10, 2) bundle, alpha = w/2 on
+# [0, sqrt(2)/3), and the exit code each gets from `seuclid verify`
+BUNDLE_PIECE_FORGERIES = [
+    ("lo.m = -2", lambda pc: pc["lo"].update(m=-2), 1),
+    ("hi.m = 3", lambda pc: pc["hi"].update(m=3), 3),
+    ("hi.b.den = 0", lambda pc: pc["hi"]["b"].update(den="0"), 1),
+    ("hi.m = x", lambda pc: pc["hi"].update(m="x"), 1),
+    ("lo := hi", lambda pc: pc.update(lo=dict(pc["hi"])), 3),
+    ("hi_closed := true", lambda pc: pc.update(hi_closed=True), 3),
+    ("hi.b = 2/3", lambda pc: pc["hi"].update(b={"num": "2", "den": "3"}), 3),
+    ("hi missing", lambda pc: pc.pop("hi"), 1),
+    ("lo = 1/2, m = 2, b = 0", lambda pc: pc.update(lo={"a": _HALF, "b": _NIL, "m": 2}), 3),
+]
+
+
+@pytest.mark.parametrize("mutate, code", [f[1:] for f in BUNDLE_PIECE_FORGERIES], ids=[f[0] for f in BUNDLE_PIECE_FORGERIES])
+def test_verify_bundle_piece_forgeries(mutate, code, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    mutate(obj["payload"]["gap_lines"][0]["pieces"][0])
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == 3:
+        assert "verification FAILED" in captured.out and captured.err == ""
+    else:
+        assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, kind", [(["17", "--s", "2"], "witness"), (["10", "--s", "2"], "exceptional-bundle")])
 def test_verify_s_of_two_primes_exit_1(argv, kind, tmp_path, capsys):
     path = tmp_path / "c.json"

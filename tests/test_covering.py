@@ -21,7 +21,7 @@ from seuclid.covering import (
     residual,
     theorem2_bound,
 )
-from seuclid.exact import QuadSurd, SSet, SurdValue, primes_below, squarefree, surd_cmp
+from seuclid.exact import SSet, SurdValue, primes_below, squarefree, surd_cmp
 from seuclid.field import make_field
 
 S0 = SSet()
@@ -81,14 +81,13 @@ def test_interval_keys_are_floors(d):
         for (lo_key, m, j, hi_key), iv in pairs:
             assert (j, m) == (iv.j, iv.k)
             for key, v in ((lo_key, iv.lo), (hi_key, iv.hi)):
-                assert SurdValue.from_rational(Fraction(key, 1 << B), D) <= v
-                assert v < SurdValue.from_rational(Fraction(key + 1, 1 << B), D)
+                assert Fraction(key, 1 << B) <= v < Fraction(key + 1, 1 << B)
 
 
-def _key(v, B, f, c):
+def _key(j, s, k, B, f, c):
     """floor(2^B * v) for v = (j + s*sqrt(3/D))/k, by the formulas of
     covering._keyed_intervals_of."""
-    return ((v.j << B) + (f if v.s > 0 else -c if v.s < 0 else 0)) // v.k
+    return ((j << B) + (f if s > 0 else -c if s < 0 else 0)) // k
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,20 +101,22 @@ def test_endpoint_keys_order_like_surd_cmp(d, x, data):
     0 and 1, compare exactly as surd_cmp does; each is a floor."""
     D = make_field(d).D
     B, f, c = covering._endpoint_keys(D, x)
-    ends = [SurdValue(0, 0, 1, D), SurdValue(1, 0, 1, D)]
+    # each end as (j, s, k), next to its value
+    triples = [(0, 0, 1), (1, 0, 1)]
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         # a second endpoint of each pair sits next to the first, where
         # keys are tightest
         k = data.draw(st.integers(min_value=1, max_value=x))
         j = data.draw(st.integers(min_value=-x, max_value=x))
-        ends.append(SurdValue(j, data.draw(st.sampled_from([-1, 1])), k, D))
+        triples.append((j, data.draw(st.sampled_from([-1, 1])), k))
         k2 = data.draw(st.integers(min_value=1, max_value=x))
-        near = math.floor(k2 * ends[-1].approx()) + data.draw(st.integers(min_value=-1, max_value=2))
-        ends.append(SurdValue(min(max(near, -x), x), data.draw(st.sampled_from([-1, 1])), k2, D))
-    keys = [_key(v, B, f, c) for v in ends]
+        near = math.floor(k2 * SurdValue.endpoint(*triples[-1], D).approx())
+        near += data.draw(st.integers(min_value=-1, max_value=2))
+        triples.append((min(max(near, -x), x), data.draw(st.sampled_from([-1, 1])), k2))
+    ends = [SurdValue.endpoint(j, s, k, D) for j, s, k in triples]
+    keys = [_key(j, s, k, B, f, c) for j, s, k in triples]
     for v, key in zip(ends, keys):
-        assert SurdValue.from_rational(Fraction(key, 1 << B), D) <= v
-        assert v < SurdValue.from_rational(Fraction(key + 1, 1 << B), D)
+        assert Fraction(key, 1 << B) <= v < Fraction(key + 1, 1 << B)
     for u, ku in zip(ends, keys):
         for v, kv in zip(ends, keys):
             assert (ku > kv) - (ku < kv) == surd_cmp(u, v)
@@ -143,14 +144,13 @@ def test_key_chain_keeps_the_furthest_end():
     assert chain[-1][3] == 20
 
 
-def _surd_greedy(ivs, D):
+def _surd_greedy(ivs):
     """Reference greedy cover with surd_cmp alone: from reach 0, each link
     is the first interval of `ivs` with the largest hi among those with
     lo < reach.  Returns (chain, None) on a cover of [0, 1], else
     (None, first uncovered point)."""
-    zero = SurdValue.from_rational(0, D)
-    one = SurdValue.from_rational(1, D)
-    chain, reach = [], zero
+    one = SurdValue.rational(1)
+    chain, reach = [], SurdValue.rational(0)
     while surd_cmp(reach, one) <= 0:
         best = None
         for iv in ivs:
@@ -163,9 +163,9 @@ def _surd_greedy(ivs, D):
     return tuple(chain), None
 
 
-def _check_against_surd_greedy(ivs, D, d, s):
+def _check_against_surd_greedy(ivs, d, s):
     result = covers_unit(ivs, d=d, s=s)
-    chain, at = _surd_greedy(ivs, D)
+    chain, at = _surd_greedy(ivs)
     if chain is None:
         assert isinstance(result, Verdict) and result.kind == "unknown"
         assert result.at == at
@@ -191,7 +191,7 @@ def test_key_greedy_matches_surd_greedy_on_subsets(d, primes, k_max, drop, rnd):
     s = SSet.from_iterable(primes)
     ivs = [iv for iv in intervals(fld, s, k_max) if rnd.random() >= drop]
     if ivs:
-        _check_against_surd_greedy(ivs, fld.D, d, s)
+        _check_against_surd_greedy(ivs, d, s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,7 +211,7 @@ def test_covers_unit_keys_any_j(d, pairs):
     fld = make_field(d)
     order = functools.cmp_to_key(lambda u, v: surd_cmp(u.lo, v.lo) or u.k - v.k or u.j - v.j)
     ivs = sorted((Interval.make(j, k, fld.D) for j, k in pairs), key=order)
-    _check_against_surd_greedy(ivs, fld.D, d, S0)
+    _check_against_surd_greedy(ivs, d, S0)
     # and in any order: covers_unit sorts by left end itself
     assert covers_unit(ivs[::-1], d=d) == covers_unit(ivs, d=d)
 
@@ -222,10 +222,10 @@ def test_covers_unit_tied_right_ends_take_the_first():
     fld = make_field(3)
     ivs = [Interval.make(j, k, fld.D) for j, k in ((0, 2), (1, 2), (2, 3), (2, 2))]
     cert = covers_unit(ivs, d=3, s=S23)
-    assert cert.chain == ((0, 2), (1, 2), (2, 2)) == _surd_greedy(ivs, fld.D)[0]
+    assert cert.chain == ((0, 2), (1, 2), (2, 2)) == _surd_greedy(ivs)[0]
     # without I_2^2 the reach stalls at the first link's end, 1 = (1 + 1)/2
     fail = covers_unit(ivs[:3], d=3, s=S23)
-    assert fail.at == SurdValue(1, +1, 2, fld.D) == _surd_greedy(ivs[:3], fld.D)[1]
+    assert fail.at == SurdValue.endpoint(1, +1, 2, fld.D) == _surd_greedy(ivs[:3])[1]
 
 
 def test_covers_unit_d3():
@@ -247,7 +247,7 @@ def test_covers_unit_failure_d10():
     for k_max in (4, 16, 64):
         res = covers_unit(intervals(make_field(10), S2, k_max), d=10, s=S2)
         assert isinstance(res, Verdict) and res.certificate is None and res.kind == "unknown"
-        assert res.at.to_quadsurd() < Fraction(1, 3)
+        assert res.at < Fraction(1, 3)
     empty = covers_unit([])
     assert isinstance(empty, Verdict) and empty.certificate is None and empty.kind == "unknown"
     assert empty.at is None and empty.reason
@@ -295,11 +295,11 @@ def test_residual_d15():
     gaps = residual(make_field(15), SSet.of(3), 81).gaps
     assert len(gaps) == 1
     lo, hi = gaps[0]
-    assert lo.to_quadsurd() <= Fraction(1, 2) <= hi.to_quadsurd()
+    assert lo <= Fraction(1, 2) <= hi
     gaps5 = residual(make_field(15), SSet.of(5), 125).gaps
     assert len(gaps5) == 1
     lo, hi = gaps5[0]
-    assert lo.to_quadsurd() <= Fraction(1, 2) <= hi.to_quadsurd()
+    assert lo <= Fraction(1, 2) <= hi
 
 
 def test_residual_d10():
@@ -307,19 +307,15 @@ def test_residual_d10():
     assert len(gaps) == 2
     targets = [Fraction(1, 3), Fraction(2, 3)]
     for (lo, hi), t in zip(gaps, targets):
-        assert lo.to_quadsurd() <= t <= hi.to_quadsurd()
-        assert hi.to_quadsurd() - lo.to_quadsurd() < Fraction(1, 100)
+        assert lo <= t <= hi
+        assert hi - lo < Fraction(1, 100)
 
 
 def test_residual_symmetric():
     for d, s, k in ((10, S2, 16), (15, SSet.of(3), 27)):
         gaps = residual(make_field(d), s, k).gaps
-        mirrored = sorted(
-            ((1 - hi.to_quadsurd(), 1 - lo.to_quadsurd()) for lo, hi in gaps),
-            key=lambda g: (g[0].a, g[0].b),
-        )
-        direct = [(lo.to_quadsurd(), hi.to_quadsurd()) for lo, hi in gaps]
-        assert mirrored == direct
+        mirrored = sorted(((1 - hi, 1 - lo) for lo, hi in gaps), key=lambda g: g[0])
+        assert mirrored == list(gaps)
 
 
 @given(st.sampled_from([4, 8, 16, 32, 64, 128]))
@@ -346,10 +342,10 @@ def test_cover_implies_close_smooth_multiple(y):
     fld = make_field(67)
     k_max = 4
     assert isinstance(covers_unit(intervals(fld, S23, k_max), d=67, s=S23), CoverCertificate)
-    width = QuadSurd(Fraction(0), Fraction(1, fld.D), 3 * fld.D)  # sqrt(3/D)
+    width = SurdValue(P=0, Q=1, m=3 * fld.D, M=fld.D)  # sqrt(3/D)
     for c in S23.smooth_upto(k_max):
         frac = (c * y) % 1
-        if QuadSurd(frac) < width or QuadSurd(frac) > 1 - width:
+        if frac < width or frac > 1 - width:
             return
     pytest.fail(f"no smooth multiple of {y} lands near an integer")
 
@@ -369,8 +365,7 @@ def test_sweep_properties(d, primes, k_max):
     result = covers_unit(ivs, d=d, s=s)
     gaps = residual(fld, s, k_max).gaps
     assert (gaps == ()) == isinstance(result, CoverCertificate)
-    zero = SurdValue.from_rational(0, fld.D)
-    one = SurdValue.from_rational(1, fld.D)
+    zero, one = SurdValue.rational(0), SurdValue.rational(1)
     if isinstance(result, CoverCertificate):
         assert replay_chain(fld.D, list(result.chain))
         # greedy: each link is the first interval starting below the reach

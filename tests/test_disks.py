@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seuclid.covering import Verdict, residual
+from seuclid import disks
+from seuclid.covering import Residual, Verdict, residual
 from seuclid.disks import (
     Disk,
     DiskCertificate,
     ExceptionalBundle,
     PointPiece,
+    _orbit_keeps_gaps_apart,
     _line_point,
     _piece_bound,
     boost_radius,
@@ -27,7 +29,7 @@ from seuclid.disks import (
     verify_gap_line,
 )
 from seuclid.field import KElement, make_field, s_norm
-from seuclid.exact import QuadSurd, SSet, primes_below, s_part_strip, squarefree
+from seuclid.exact import SSet, SurdValue, primes_below, s_part_strip, squarefree
 
 F35 = make_field(35)
 S5 = SSet.of(5)
@@ -206,7 +208,7 @@ def test_gap_line_ignores_pieces_beyond_one():
     cert = gap_line_certificate(10, 2)
     beyond = replace(
         cert.pieces[1],
-        lo=QuadSurd(Fraction(11, 10)), hi=QuadSurd(Fraction(6, 5)), lo_closed=False, hi_closed=False,
+        lo=SurdValue.rational(Fraction(11, 10)), hi=SurdValue.rational(Fraction(6, 5)), lo_closed=False, hi_closed=False,
     )
     assert verify_gap_line(make_field(10), SSet.of(2), replace(cert, pieces=cert.pieces + (beyond,)))
 
@@ -349,3 +351,41 @@ def test_exceptional_bundle_rejects_tampering():
     bundle10 = certify_exceptional(10, 2)
     assert len(residual(make_field(10), SSet.of(2), 1).gaps) == 1
     assert not verify_exceptional_bundle(replace(bundle10, k_max=1))
+
+
+@pytest.mark.parametrize(
+    "d, p, k_maxes",
+    [(10, 2, [2**i for i in range(1, 8)]), (15, 3, [3**i for i in range(1, 5)]), (15, 5, [5, 25, 125])],
+)
+def test_built_in_bundles_pass_the_orbit_check(d, p, k_maxes):
+    bundle = certify_exceptional(d, p)
+    assert verify_exceptional_bundle(bundle)
+    for k_max in k_maxes:
+        assert verify_exceptional_bundle(replace(bundle, k_max=k_max)), k_max
+
+
+def _surd_gaps(gaps):
+    return {r: (SurdValue.rational(lo), SurdValue.rational(hi)) for r, (lo, hi) in gaps.items()}
+
+
+def test_orbit_check_rejects_an_image_meeting_a_second_gap():
+    third, two_thirds, eps = Fraction(1, 3), Fraction(2, 3), Fraction(1, 100)
+    narrow = {third: (third - eps, third + eps), two_thirds: (two_thirds - eps, two_thirds + eps)}
+    assert _orbit_keeps_gaps_apart(2, _surd_gaps(narrow))
+    # the gap [5/24, 11/24] around 1/3 maps onto 2/3 + 2*(G - 1/3) =
+    # [5/12, 11/12], which meets that gap again
+    wide = {third: (Fraction(5, 24), Fraction(11, 24)), two_thirds: narrow[two_thirds]}
+    assert not _orbit_keeps_gaps_apart(2, _surd_gaps(wide))
+    # p = 3 and one gap around 1/2: [1/4, 3/4] maps onto [-1/4, 5/4], which
+    # meets the gap shifted by -1 and by +1 (closed ends touch)
+    half = Fraction(1, 2)
+    assert _orbit_keeps_gaps_apart(3, _surd_gaps({half: (Fraction(3, 10), Fraction(7, 10))}))
+    assert not _orbit_keeps_gaps_apart(3, _surd_gaps({half: (Fraction(1, 4), Fraction(3, 4))}))
+
+
+def test_bundle_rejects_residual_gaps_whose_image_meets_another(monkeypatch):
+    bundle = certify_exceptional(15, 3)
+    for (lo, hi), accepted in (((Fraction(3, 10), Fraction(7, 10)), True), ((Fraction(1, 4), Fraction(3, 4)), False)):
+        gaps = Residual(((SurdValue.rational(lo), SurdValue.rational(hi)),))
+        monkeypatch.setattr(disks, "residual", lambda fld, s, k_max, gaps=gaps: gaps)
+        assert verify_exceptional_bundle(bundle) is accepted

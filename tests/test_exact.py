@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seuclid.exact import (
-    QuadSurd,
     SSet,
     SurdValue,
     is_prime,
@@ -140,29 +139,53 @@ def test_legendre_multiplicative(a, b, p):
 
 
 def _surd_mp(v: SurdValue) -> mpmath.mpf:
-    return (v.j + v.s * mpmath.sqrt(mpmath.mpf(3) / v.D)) / v.k
+    return (v.P + v.Q * mpmath.sqrt(v.m)) / v.M
+
+
+ZERO = SurdValue.rational(0)
 
 
 def test_surd_cmp_examples():
     # interval endpoints around 0.6 for D = 67
-    assert surd_cmp(SurdValue(1, 1, 2, 67), SurdValue(2, -1, 3, 67)) > 0
-    assert surd_cmp(SurdValue(3, 0, 6, 40), SurdValue(1, 0, 2, 40)) == 0
-    assert surd_cmp(SurdValue(1, -1, 1, 40), SurdValue(1, 1, 2, 40)) > 0
+    assert surd_cmp(SurdValue.endpoint(1, 1, 2, 67), SurdValue.endpoint(2, -1, 3, 67)) > 0
+    assert surd_cmp(SurdValue.endpoint(3, 0, 6, 40), SurdValue.endpoint(1, 0, 2, 40)) == 0
+    assert surd_cmp(SurdValue.endpoint(1, -1, 1, 40), SurdValue.endpoint(1, 1, 2, 40)) > 0
+    # irrational ends with different D do not compare: 120*132 is no square
     with pytest.raises(ValueError):
-        surd_cmp(SurdValue(0, 0, 1, 40), SurdValue(0, 0, 1, 44))
+        surd_cmp(SurdValue.endpoint(0, 1, 1, 40), SurdValue.endpoint(0, 1, 1, 44))
 
 
 def test_surd_value_validation():
     with pytest.raises(ValueError):
-        SurdValue(1, 2, 1, 40)
+        SurdValue.endpoint(1, 2, 1, 40)
     with pytest.raises(ValueError):
-        SurdValue(1, 0, 0, 40)
+        SurdValue.endpoint(1, 0, 0, 40)
     with pytest.raises(ValueError):
-        SurdValue(1, 0, 1, 2)
+        SurdValue.endpoint(1, 0, 1, 2)
+    with pytest.raises(ValueError):
+        SurdValue(P=1, M=0)
+    with pytest.raises(ValueError):
+        SurdValue(P=0, Q=1, m=-2)
+    # the fields are keyword-only: an old positional (j, s, k, D) call
+    # cannot silently mean (P, Q, m, M)
+    with pytest.raises(TypeError):
+        SurdValue(1, 1, 2, 40)
+
+
+def test_surd_value_canonical_form():
+    v = SurdValue(P=6, Q=-4, m=5, M=10)
+    assert (v.P, v.Q, v.m, v.M) == (3, -2, 5, 5)
+    u = SurdValue(P=4, Q=0, m=7, M=6)
+    assert (u.P, u.Q, u.m, u.M) == (2, 0, 0, 3)
+    w = SurdValue(P=1, Q=3, m=9, M=4)  # (1 + 3*3)/4 = 5/2
+    assert (w.P, w.Q, w.m, w.M) == (5, 0, 0, 2)
+    # sqrt(3/3) = 1: the ends of I_j^k at D = 3 are rational
+    assert SurdValue.endpoint(2, -1, 6, 3) == Fraction(1, 6)
+    assert SurdValue.endpoint(2, -1, 6, 3).m == 0
 
 
 surds = st.builds(
-    SurdValue,
+    SurdValue.endpoint,
     j=st.integers(min_value=-50, max_value=50),
     s=st.sampled_from([-1, 0, 1]),
     k=st.integers(min_value=1, max_value=50),
@@ -189,40 +212,89 @@ def test_surd_cmp_total_order(x, y, z):
 
 
 def test_surd_to_quadsurd():
-    v = SurdValue(1, -1, 3, 40)
-    q = v.to_quadsurd()
-    # (1 - sqrt(3/40))/3 = 1/3 - sqrt(120)/120
-    assert q == QuadSurd(Fraction(1, 3), Fraction(-1, 120), 120)
+    # (1 - sqrt(3/40))/3 = (40 - sqrt(120))/120 = 1/3 - sqrt(120)/120
+    v = SurdValue.endpoint(1, -1, 3, 40)
+    assert (v.P, v.Q, v.m, v.M) == (40, -1, 120, 120)
+    assert v == Fraction(1, 3) - SurdValue(P=0, Q=1, m=120, M=120)
 
 
 def test_quadsurd_arithmetic():
-    r2 = QuadSurd(Fraction(0), Fraction(1), 2)
+    r2 = SurdValue(P=0, Q=1, m=2)
     assert r2 * r2 == 2
     assert (r2 + 1) * (r2 - 1) == 1
-    assert QuadSurd(Fraction(3), Fraction(1), 4) == 5  # sqrt(4) folds
+    assert SurdValue(P=3, Q=1, m=4) == 5  # sqrt(4) folds
     assert r2 > Fraction(7, 5)
     assert r2 < Fraction(3, 2)
-    assert (-r2).sign() == -1
-    assert QuadSurd(Fraction(0)).sign() == 0
+    assert surd_cmp(-r2, ZERO) == -1
+    assert surd_cmp(SurdValue.rational(0), ZERO) == 0
     with pytest.raises(ValueError):
-        r2 + QuadSurd(Fraction(0), Fraction(1), 3)
+        r2 + SurdValue(P=0, Q=1, m=3)
 
 
 def test_quadsurd_radicands_equal_up_to_a_square():
     # sqrt(8)/6 = sqrt(2)/3, and sqrt(18)/9 = sqrt(2)/3 too
-    r2_3 = QuadSurd(Fraction(0), Fraction(1, 3), 2)
-    r8_6 = QuadSurd(Fraction(0), Fraction(1, 6), 8)
+    r2_3 = SurdValue(P=0, Q=1, m=2, M=3)
+    r8_6 = SurdValue(P=0, Q=1, m=8, M=6)
     assert r8_6 == r2_3 and r2_3 == r8_6 and hash(r8_6) == hash(r2_3)
-    assert r8_6 == QuadSurd(Fraction(0), Fraction(1, 9), 18)
+    assert r8_6 == SurdValue(P=0, Q=1, m=18, M=9)
     assert r8_6 - r2_3 == 0 and (r8_6 - r2_3).m == 0
-    assert r8_6 + r2_3 == QuadSurd(Fraction(0), Fraction(2, 3), 2)
+    assert r8_6 + r2_3 == SurdValue(P=0, Q=2, m=2, M=3)
     assert r8_6 * r2_3 == Fraction(2, 9)
-    assert (r2_3 + 1) * r8_6 == QuadSurd(Fraction(2, 9), Fraction(1, 3), 2)
-    assert r8_6 < QuadSurd(Fraction(1, 2)) < r8_6 + Fraction(1, 20)  # sqrt(2)/3 ~ 0.471
+    assert (r2_3 + 1) * r8_6 == SurdValue(P=2, Q=3, m=2, M=9)
+    assert r8_6 < SurdValue.rational(Fraction(1, 2)) < r8_6 + Fraction(1, 20)  # sqrt(2)/3 ~ 0.471
     assert hash(-r8_6) != hash(r8_6)
     # 2*3 is no square: sqrt(2) and sqrt(3) stay incomparable
     with pytest.raises(ValueError):
-        r8_6 + QuadSurd(Fraction(0), Fraction(1), 3)
+        r8_6 + SurdValue(P=0, Q=1, m=3)
+
+
+def test_mixed_radicands_are_unequal():
+    # a + b*sqrt(m) = a' + b'*sqrt(m') with m*m' no square forces b = b' = 0
+    r2, r3 = SurdValue(P=0, Q=1, m=2), SurdValue(P=0, Q=1, m=3)
+    assert r2 != r3 and not r2 == r3
+    assert SurdValue(P=1, Q=1, m=2) != SurdValue(P=1, Q=1, m=3)
+    assert r2 != Fraction(7, 5) and Fraction(7, 5) != r2
+    mixed = [r3, SurdValue(P=1, Q=1, m=5, M=2), Fraction(1, 2)]
+    assert r2 not in mixed
+    assert SurdValue(P=0, Q=1, m=12, M=2) in mixed  # sqrt(12)/2 = sqrt(3)
+    assert SurdValue.rational(Fraction(1, 2)) in mixed
+    table = {r2: "r2", r3: "r3", SurdValue.rational(Fraction(1, 2)): "half"}
+    assert table[SurdValue(P=0, Q=1, m=8, M=2)] == "r2"
+    assert table[SurdValue(P=0, Q=1, m=12, M=2)] == "r3"
+    assert table[Fraction(1, 2)] == "half" and table[SurdValue(P=2, M=4)] == "half"
+    assert SurdValue(P=0, Q=1, m=5) not in table
+    # order and arithmetic across them still raise
+    for op in (lambda: r2 < r3, lambda: r2 >= r3, lambda: surd_cmp(r2, r3), lambda: r2 - r3,
+               lambda: r2 * r3, lambda: sorted([r2, r3])):
+        with pytest.raises(ValueError):
+            op()
+
+
+radicands = st.sampled_from([2, 3, 8, 12, 18, 27, 50])
+mixed_surds = st.builds(
+    SurdValue,
+    P=st.integers(min_value=-6, max_value=6),
+    Q=st.integers(min_value=-3, max_value=3),
+    m=radicands,
+    M=st.integers(min_value=1, max_value=6),
+)
+
+
+@settings(max_examples=300)
+@given(mixed_surds, mixed_surds)
+def test_equality_and_hash_match_mpmath(x, y):
+    with mpmath.workdps(60):
+        equal = abs(_surd_mp(x) - _surd_mp(y)) < mpmath.mpf("1e-30")
+    assert (x == y) == equal == (y == x)
+    if equal:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=300)
+@given(mixed_surds)
+def test_floor_matches_mpmath(x):
+    with mpmath.workdps(60):
+        assert math.floor(x) == int(mpmath.floor(_surd_mp(x)))
 
 
 @settings(max_examples=200)
@@ -231,9 +303,9 @@ def test_quadsurd_radicands_equal_up_to_a_square():
     st.fractions(min_value=-5, max_value=5, max_denominator=40),
 )
 def test_quadsurd_sign_matches_mpmath(a, b):
-    q = QuadSurd(a, b, 3)
+    q = a + b * SurdValue(P=0, Q=1, m=3)
     with mpmath.workdps(60):
         val = (a.numerator / mpmath.mpf(a.denominator)
                + (b.numerator / mpmath.mpf(b.denominator)) * mpmath.sqrt(3))
         expected = 0 if abs(val) < mpmath.mpf("1e-30") else int(mpmath.sign(val))
-    assert q.sign() == expected
+    assert surd_cmp(q, ZERO) == expected
