@@ -32,8 +32,17 @@ from .witness import CaseTag, WitnessCertificate, witness_bound
 
 SCHEMA_VERSION = "2.0"
 
+# Limits on the checker's work for one file.  A bundle's residual builds
+# all intervals with S-smooth k <= k_max (the built-ins use 64, 81 and
+# 125), and a disk scan checks depth^2 cells (the benchmark files use
+# 500); a file past either limit is rejected before any of that work.
+MAX_BUNDLE_K_MAX = 4096
+MAX_SUBDIVISION_DEPTH = 1000
+
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_BUNDLE_K_MAX",
+    "MAX_SUBDIVISION_DEPTH",
     "CertificateParseError",
     "certificate_to_obj",
     "certificate_from_obj",
@@ -161,6 +170,8 @@ def certificate_from_obj(obj: Any) -> Certificate:
         s = SSet.from_iterable(int(p) for p in obj["s"])
         payload = obj["payload"]
         if kind == "cover":
+            # fresh link tuples: sharing them with the producer's
+            # (covering._LINKS) would let a file grow that table for good
             return CoverCertificate(
                 d=d,
                 s=s,
@@ -232,7 +243,9 @@ def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
 
 
 def verify_certificate_obj(obj: Any) -> bool:
-    """Re-run the appropriate verifier from file contents alone."""
+    """Re-run the appropriate verifier from file contents alone; a bundle
+    `k_max` over MAX_BUNDLE_K_MAX or a `subdivision_depth` over
+    MAX_SUBDIVISION_DEPTH fails at once."""
     cert = certificate_from_obj(obj)
     if isinstance(cert, CoverCertificate):
         fld = make_field(cert.d)
@@ -243,7 +256,7 @@ def verify_certificate_obj(obj: Any) -> bool:
             return False
         return replay_chain(fld.D, list(cert.chain))
     if isinstance(cert, DiskCertificate):
-        if cert.subdivision_depth < 1:
+        if not 1 <= cert.subdivision_depth <= MAX_SUBDIVISION_DEPTH:
             return False
         fld = make_field(cert.d)
         # each claimed radius must be within what the lemmas afford
@@ -267,7 +280,7 @@ def verify_certificate_obj(obj: Any) -> bool:
             and bound >= 1
         )
     if isinstance(cert, ExceptionalBundle):
-        return verify_exceptional_bundle(cert)
+        return cert.k_max <= MAX_BUNDLE_K_MAX and verify_exceptional_bundle(cert)
     return False
 
 

@@ -10,6 +10,14 @@ also fixes the minimal k_max, and `covers_unit`'s.  The keys compare
 exactly as the endpoints do, and `seuclid verify` replays each chain
 with surd arithmetic.  One exact sweep (`_sweep`) serves that replay,
 residual gaps and the gap-line pieces in :mod:`seuclid.disks`.
+
+Produced chains share their links: every certificate that links I_j^k
+holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
+cover is a whole Farey family, so the 608 squarefree d <= 1000 repeat
+397 distinct links 92,839 times.  Chains parsed from files
+(:func:`seuclid.certs.certificate_from_obj`) keep their own tuples: the
+table holds only links the producer emitted, so an untrusted file
+cannot grow it.
 """
 from __future__ import annotations
 
@@ -229,9 +237,24 @@ def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCe
     return Verdict("unknown", None, f"first uncovered point {at}", at=at)
 
 
+# the shared producer links: _LINKS[k][j] is the one (j, k) tuple
+_LINKS: dict[int, dict[int, tuple[int, int]]] = {}
+
+
 def _certificate(chain: list[tuple[int, int, int, int]], d: int, s: SSet) -> CoverCertificate:
+    """The certificate of a covering key chain.  Its (j, k) links come
+    from `_LINKS`, so equal links of all produced certificates are one
+    tuple; the two-level dict lookup costs about what building fresh
+    tuples did.  Only the producer's chains come here, never a parsed
+    file's, so the table stays as small as the set of links emitted."""
+    try:
+        links = tuple([_LINKS[k][j] for _, k, j, _ in chain])
+    except KeyError:  # a link no certificate had yet
+        for _, k, j, _ in chain:
+            _LINKS.setdefault(k, {}).setdefault(j, (j, k))
+        return _certificate(chain, d, s)
     k_max = max(k for _, k, _, _ in chain)
-    return CoverCertificate(d=d, s=s, k_max=k_max, chain=tuple((j, k) for _, k, j, _ in chain))
+    return CoverCertificate(d=d, s=s, k_max=k_max, chain=links)
 
 
 def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:

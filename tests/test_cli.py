@@ -1,9 +1,13 @@
 """Command-line behavior: verdicts, exit codes, certificate files, rendering."""
+import dataclasses
 import json
+import time
 
 import pytest
 
+from seuclid.certs import MAX_BUNDLE_K_MAX, save_certificate
 from seuclid.cli import main
+from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
 
 
 def test_check_euclidean(capsys):
@@ -200,3 +204,32 @@ def test_verify_nonpositive_subdivision_depth_exit_3(depth, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verification FAILED" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["10", "--s", "2"], "k_max", 10**9),
+    (["35", "--s", "7"], "subdivision_depth", 10**6),
+])
+def test_verify_over_work_limit_exit_3_at_once(argv, field, value, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", *argv, "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["payload"][field] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert "verification FAILED" in captured.out
+    assert captured.err == ""
+
+
+def test_verify_built_ins_within_work_limits(tmp_path, capsys):
+    certs = [certify_exceptional(d, p) for d, p in sorted(EXCEPTIONAL_PAIRS)]
+    certs += [table_disk_certificate(p, subdivision_depth=500) for p in (5, 7)]
+    certs.append(dataclasses.replace(certify_exceptional(10, 2), k_max=MAX_BUNDLE_K_MAX))
+    for i, cert in enumerate(certs):
+        path = tmp_path / f"{i}.json"
+        save_certificate(cert, str(path))
+        assert main(["verify", str(path)]) == 0, cert

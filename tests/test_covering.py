@@ -1,7 +1,9 @@
 """Interval covering engine tests."""
 import functools
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -447,3 +449,48 @@ def test_theorem2_kmax_pinned():
         cert = certify_euclidean(fld, SSet.from_iterable(primes_below(theorem2_bound(fld))))
         assert isinstance(cert, CoverCertificate)
         assert cert.k_max == pinned[str(d)], d
+
+
+def _shared_links() -> int:
+    return sum(len(row) for row in covering._LINKS.values())
+
+
+def test_produced_links_are_shared():
+    """The Theorem-2 certificates for squarefree d <= 300 retain at most
+    16 bytes per chain link (a fresh (j, k) tuple per link costs 65), and
+    equal links of two certificates are one object."""
+    inputs = []
+    for d in range(1, 301):
+        if squarefree(d):
+            fld = make_field(d)
+            inputs.append((fld, SSet.from_iterable(primes_below(theorem2_bound(fld)))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = [certify_euclidean(fld, s) for fld, s in inputs]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    links = sum(len(cert.chain) for cert in certs)
+    assert retained <= 16 * links, f"{retained / links:.1f} B/link"
+    first = {link: link for link in certs[-2].chain}
+    common = [link for link in certs[-1].chain if link in first]
+    assert common and all(first[link] is link for link in common)
+
+
+def test_verifier_links_are_not_shared():
+    """Chains parsed from a file never enter the producer's link table,
+    however large their j and k."""
+    from seuclid.certs import certificate_from_obj, certificate_to_obj, verify_certificate_obj
+
+    obj = certificate_to_obj(certify_euclidean(make_field(67), S23))
+    size = _shared_links()
+    k = 2**40  # S-smooth, about 1.1e12
+    obj["payload"]["chain"].append({"j": k - 1, "k": k})
+    obj["payload"]["k_max"] = k
+    assert verify_certificate_obj(obj) is True
+    assert _shared_links() == size
+    link = certificate_from_obj(obj).chain[0]
+    assert covering._LINKS[link[1]][link[0]] is not link

@@ -17,13 +17,15 @@ def _load_tracer():
     return module
 
 
+API = types.SimpleNamespace(
+    exact=exact, field=field, covering=covering, witness=witness, disks=disks, certs=certs, cli=cli,
+)
+
+
 def test_tracer_counts_the_surd_kernel_and_restores_it():
-    api = types.SimpleNamespace(
-        exact=exact, field=field, covering=covering, witness=witness, disks=disks, certs=certs, cli=cli,
-    )
     chain = list(covering.certify_euclidean(make_field(67), SSet.of(2, 3)).chain)
     originals = (exact.surd_cmp, covering.surd_cmp, exact.SurdValue.__post_init__, covering.residual)
-    tracer = _load_tracer().Tracer(api)
+    tracer = _load_tracer().Tracer(API)
     tracer.install()
     try:
         covering.residual(make_field(10), SSet.of(2), 64)
@@ -36,3 +38,20 @@ def test_tracer_counts_the_surd_kernel_and_restores_it():
     assert {"covering.residual", "covering.replay_chain"} <= {span[0] for span in spans}
     restored = (exact.surd_cmp, covering.surd_cmp, exact.SurdValue.__post_init__, covering.residual)
     assert all(now is before for now, before in zip(restored, originals))
+
+
+def test_tracer_reads_arguments_by_name():
+    # the per-call counters bind n_max, coeff_max and cert by name, so a
+    # renamed parameter must fail here rather than in a traced run
+    _tag, xi0, _bound = witness.witness_bound(17, 2)
+    cert = disks.table_disk_certificate(7, 8)
+    tracer = _load_tracer().Tracer(API)
+    tracer.install()
+    try:
+        witness.oracle_min_snorm(17, 2, xi0, 1, 3)
+        disks.verify_disk_cert(cert)
+    finally:
+        tracer.uninstall()
+    _spans, counts = tracer.take()
+    assert counts["witness.oracle_min_snorm.points"] == 98  # (1 + 1) * (2*3 + 1)^2
+    assert counts["disks.verify_disk_cert.cells"] == 64  # 8^2
