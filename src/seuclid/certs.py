@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any
 
@@ -34,15 +33,22 @@ SCHEMA_VERSION = "2.0"
 
 # Limits on the checker's work for one file.  A bundle's residual builds
 # all intervals with S-smooth k <= k_max (the built-ins use 64, 81 and
-# 125), and a disk scan checks depth^2 cells (the benchmark files use
-# 500); a file past either limit is rejected before any of that work.
+# 125), a disk scan computes one corner range per disk in each of its
+# depth + 1 columns (the built-ins use 14 and 20 disks, the benchmark
+# files depth 500), and a bundle's gap lines check and sort their pieces
+# (the built-ins have at most 5 in all); a file past any limit is
+# rejected before any of that work.
 MAX_BUNDLE_K_MAX = 4096
 MAX_SUBDIVISION_DEPTH = 1000
+MAX_DISKS = 256
+MAX_GAP_LINE_PIECES = 256
 
 __all__ = [
     "SCHEMA_VERSION",
     "MAX_BUNDLE_K_MAX",
     "MAX_SUBDIVISION_DEPTH",
+    "MAX_DISKS",
+    "MAX_GAP_LINE_PIECES",
     "CertificateParseError",
     "certificate_to_obj",
     "certificate_from_obj",
@@ -243,9 +249,11 @@ def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
 
 
 def verify_certificate_obj(obj: Any) -> bool:
-    """Re-run the appropriate verifier from file contents alone; a bundle
-    `k_max` over MAX_BUNDLE_K_MAX or a `subdivision_depth` over
-    MAX_SUBDIVISION_DEPTH fails at once."""
+    """Re-run the appropriate verifier from file contents alone; a file
+    past a work limit (bundle `k_max` over MAX_BUNDLE_K_MAX, more than
+    MAX_GAP_LINE_PIECES pieces over all gap lines, `subdivision_depth`
+    over MAX_SUBDIVISION_DEPTH, more than MAX_DISKS disks) fails at
+    once."""
     cert = certificate_from_obj(obj)
     if isinstance(cert, CoverCertificate):
         fld = make_field(cert.d)
@@ -257,6 +265,8 @@ def verify_certificate_obj(obj: Any) -> bool:
         return replay_chain(fld.D, list(cert.chain))
     if isinstance(cert, DiskCertificate):
         if not 1 <= cert.subdivision_depth <= MAX_SUBDIVISION_DEPTH:
+            return False
+        if len(cert.disks) > MAX_DISKS:
             return False
         fld = make_field(cert.d)
         # each claimed radius must be within what the lemmas afford
@@ -280,7 +290,11 @@ def verify_certificate_obj(obj: Any) -> bool:
             and bound >= 1
         )
     if isinstance(cert, ExceptionalBundle):
-        return cert.k_max <= MAX_BUNDLE_K_MAX and verify_exceptional_bundle(cert)
+        if cert.k_max > MAX_BUNDLE_K_MAX:
+            return False
+        if sum(len(line.pieces) for line in cert.gap_lines) > MAX_GAP_LINE_PIECES:
+            return False
+        return verify_exceptional_bundle(cert)
     return False
 
 
@@ -289,6 +303,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def save_certificate(cert: Certificate, path: str) -> None:
+    from datetime import datetime, timezone  # only the saved metadata needs it
+
     out = certificate_to_obj(cert)
     timestamp = datetime.now(timezone.utc).isoformat()
     out["metadata"] = {"tool": "seuclid", "version": __version__, "timestamp": timestamp}

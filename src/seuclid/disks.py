@@ -124,25 +124,75 @@ def _cell_covered(fld: QuadField, disks: tuple[Disk, ...], iu: int, iv: int, den
 MAX_REFINE = 4  # four-way splits of a cell no disk holds before it fails
 
 
+def _corner_range(fld: QuadField, disk: Disk, iu: int, n: int) -> tuple[int, int]:
+    """The iv in 0..n whose corner (iu/n, iv/n) lies strictly inside the
+    disk, as an inclusive range (lo, hi); lo > hi when there is none.
+
+    With su = iu*c - a*n and tv = iv*c - b*n the corner is inside iff
+    e*r_den*tv^2 + h*su*r_den*tv + (su^2*r_den - r_num*n^2*c^2) < 0, one
+    integer range because squared distance is convex.  math.isqrt of the
+    discriminant bounds it, and _corner_inside settles both ends.
+    """
+    a, b, c = disk.center.a, disk.center.b, disk.center.c
+    h, e = (1, (1 + fld.d) // 4) if fld.half_basis else (0, fld.d)
+    rn, rd = disk.r_squared.numerator, disk.r_squared.denominator
+    su = iu * c - a * n
+    a2, b1 = 2 * e * rd, h * su * rd
+    # inside iff x^2 < disc for x = a2*tv + b1
+    disc = b1 * b1 - 2 * a2 * (su * su * rd - rn * n * n * c * c)
+    if disc <= 0:
+        return 1, 0
+    root = math.isqrt(disc)
+    if root * root == disc:
+        root -= 1
+    # |x| <= root, with x = step*iv - off
+    step, off = a2 * c, a2 * b * n - b1
+    lo, hi = -((root - off) // step), (root + off) // step
+    while lo <= hi and not _corner_inside(fld, disk, iu, lo, n):
+        lo += 1
+    while lo <= hi and not _corner_inside(fld, disk, iu, hi, n):
+        hi -= 1
+    if lo > hi:
+        return 1, 0
+    while _corner_inside(fld, disk, iu, lo - 1, n):
+        lo -= 1
+    while _corner_inside(fld, disk, iu, hi + 1, n):
+        hi += 1
+    return max(lo, 0), min(hi, n)
+
+
 def find_uncovered_cell(cert: DiskCertificate) -> tuple[int, int, int] | None:
     """First subdivision cell not strictly inside any disk, as
     (iu, iv, den) with the cell spanning [iu/den, (iu+1)/den] in each
-    basis coordinate; None when the disks cover F."""
+    basis coordinate; None when the disks cover F.
+
+    The scan goes column by column.  Each disk holds one range of corners
+    in each corner column (_corner_range), and cell (iu, iv) lies inside
+    it iff iv and iv + 1 are in the ranges of both columns iu and iu + 1.
+    Walking a column's cell ranges in increasing iv, only the cells
+    outside all of them go to _cell_covered with MAX_REFINE splits, so
+    the first uncovered cell is the first in (iu, iv) order.
+    """
     n = cert.subdivision_depth
     if n < 1:
         raise ValueError("subdivision_depth must be positive")
-    fld = cert.disks[0].center.field if cert.disks else make_field(cert.d)
-    # the disk that held the last cell is tried first
-    order = list(cert.disks)
+    disks = cert.disks
+    fld = disks[0].center.field if disks else make_field(cert.d)
+    right = [_corner_range(fld, disk, 0, n) for disk in disks]
     for iu in range(n):
-        for iv in range(n):
-            for i, disk in enumerate(order):
-                if _cell_inside(fld, disk, iu, iv, n):
-                    order.insert(0, order.pop(i))
-                    break
-            else:
-                if not _cell_covered(fld, cert.disks, iu, iv, n, MAX_REFINE):
+        left, right = right, [_corner_range(fld, disk, iu + 1, n) for disk in disks]
+        spans = sorted(
+            (max(l_lo, r_lo), min(l_hi, r_hi) - 1)
+            for (l_lo, l_hi), (r_lo, r_hi) in zip(left, right)
+        )
+        nxt = 0  # the cells below nxt in this column are covered
+        for lo, hi in spans + [(n, n)]:
+            if lo > hi:
+                continue
+            for iv in range(nxt, lo):
+                if not _cell_covered(fld, disks, iu, iv, n, MAX_REFINE):
                     return (iu, iv, n)
+            nxt = max(nxt, hi + 1)
     return None
 
 

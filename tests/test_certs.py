@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from seuclid.certs import (
+    MAX_SUBDIVISION_DEPTH,
     CertificateParseError,
     canonical_json,
     certificate_from_obj,
@@ -183,6 +184,12 @@ def test_verify_rejects_nonpositive_subdivision_depth(depth):
     # library callers of the scan still get the ValueError
     with pytest.raises(ValueError):
         find_uncovered_cell(certificate_from_obj(obj))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_table_disks_verify_at_the_depth_cap(p):
+    obj = certificate_to_obj(table_disk_certificate(p, subdivision_depth=MAX_SUBDIVISION_DEPTH))
+    assert verify_certificate_obj(obj) is True
 
 
 def test_verify_rejects_non_smooth_interval():

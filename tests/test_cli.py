@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from seuclid.certs import MAX_BUNDLE_K_MAX, save_certificate
+from seuclid.certs import MAX_BUNDLE_K_MAX, MAX_DISKS, MAX_GAP_LINE_PIECES, save_certificate
 from seuclid.cli import main
 from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
 
@@ -215,6 +215,43 @@ def test_verify_over_work_limit_exit_3_at_once(argv, field, value, tmp_path, cap
     assert main(["check", *argv, "--cert", str(path)]) == 0
     obj = json.loads(path.read_text())
     obj["payload"][field] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert "verification FAILED" in captured.out
+    assert captured.err == ""
+
+
+def _repeat(entries, count):
+    return [entries[i % len(entries)] for i in range(count)]
+
+
+def _with_disks(obj, count):
+    obj["payload"]["disks"] = _repeat(obj["payload"]["disks"], count)
+
+
+def _with_pieces(obj, count):
+    line = obj["payload"]["gap_lines"][0]
+    line["pieces"] = _repeat(line["pieces"], count)
+
+
+@pytest.mark.parametrize("argv, grow, cap", [
+    (["35", "--s", "7"], _with_disks, MAX_DISKS),
+    (["15", "--s", "3"], _with_pieces, MAX_GAP_LINE_PIECES),
+])
+def test_verify_over_count_limit_exit_3_at_once(argv, grow, cap, tmp_path, capsys):
+    # repeated disks or pieces still prove the claim: at the cap the file
+    # verifies, and one more is rejected before any work
+    path = tmp_path / "c.json"
+    assert main(["check", *argv, "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    grow(obj, cap)
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 0
+    grow(obj, cap + 1)
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     start = time.perf_counter()

@@ -128,6 +128,59 @@ def test_first_uncovered_cell_is_the_first_in_scan_order(p, drop):
     assert find_uncovered_cell(cert) == first
 
 
+# fields with the half basis w = (1 + sqrt(-d))/2 and with w = sqrt(-d)
+PROPERTY_FIELDS = [3, 7, 11, 15, 35, 43, 91, 1, 2, 5, 6, 10, 13]
+
+
+@st.composite
+def _disk_certs(draw):
+    fld = make_field(draw(st.sampled_from(PROPERTY_FIELDS)))
+    disks = []
+    if draw(st.booleans()):
+        # unit disks at the corners of F leave holes for the others to fill
+        disks += [
+            Disk(center=KElement(a, b, 1, fld), r_squared=Fraction(1), boosted=False) for a in (0, 1) for b in (0, 1)
+        ]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        c = draw(st.integers(min_value=1, max_value=8))
+        # centers up to three units outside F; small radii there miss F
+        coord = st.integers(min_value=-3 * c, max_value=4 * c)
+        center = KElement(draw(coord), draw(coord), c, fld)
+        r_squared = Fraction(draw(st.integers(min_value=0, max_value=40)), draw(st.integers(min_value=1, max_value=80)))
+        disks.append(Disk(center=center, r_squared=r_squared, boosted=False))
+    depth = draw(st.integers(min_value=1, max_value=30))
+    return DiskCertificate(d=fld.d, s=SSet.of(2), disks=tuple(draw(st.permutations(disks))), subdivision_depth=depth)
+
+
+def _first_uncovered_by_brute_force(cert):
+    from seuclid.disks import MAX_REFINE, _cell_covered
+
+    n = cert.subdivision_depth
+    fld = make_field(cert.d)
+    return next(
+        ((iu, iv, n) for iu in range(n) for iv in range(n) if not _cell_covered(fld, cert.disks, iu, iv, n, MAX_REFINE)),
+        None,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disk_certs())
+def test_column_ranges_find_the_brute_force_cell(cert):
+    assert find_uncovered_cell(cert) == _first_uncovered_by_brute_force(cert)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disk_certs(), st.data())
+def test_corner_range_is_the_corners_inside(cert, data):
+    from seuclid.disks import _corner_inside, _corner_range
+
+    fld, n = make_field(cert.d), cert.subdivision_depth
+    iu = data.draw(st.integers(min_value=0, max_value=n))
+    for disk in cert.disks:
+        lo, hi = _corner_range(fld, disk, iu, n)
+        assert list(range(lo, hi + 1)) == [iv for iv in range(n + 1) if _corner_inside(fld, disk, iu, iv, n)]
+
+
 def test_verify_monotone_in_disks():
     cert = table_disk_certificate(5, subdivision_depth=40)
     extra = Disk(center=KElement(0, 0, 1, F35), r_squared=Fraction(1, 4), boosted=False)
