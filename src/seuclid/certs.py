@@ -37,11 +37,13 @@ SCHEMA_VERSION = "2.0"
 # depth + 1 columns (the built-ins use 14 and 20 disks, the benchmark
 # files depth 500), and a bundle's gap lines check and sort their pieces
 # (the built-ins have at most 5 in all); a file past any limit is
-# rejected before any of that work.
+# rejected before any of that work.  A d or prime of s over MAX_D is a
+# parse error before the trial divisions of `squarefree` and `is_prime`.
 MAX_BUNDLE_K_MAX = 4096
 MAX_SUBDIVISION_DEPTH = 1000
 MAX_DISKS = 256
 MAX_GAP_LINE_PIECES = 256
+MAX_D = 10**6
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,6 +51,7 @@ __all__ = [
     "MAX_SUBDIVISION_DEPTH",
     "MAX_DISKS",
     "MAX_GAP_LINE_PIECES",
+    "MAX_D",
     "CertificateParseError",
     "certificate_to_obj",
     "certificate_from_obj",
@@ -173,7 +176,10 @@ def certificate_from_obj(obj: Any) -> Certificate:
     try:
         kind = obj["kind"]
         d = int(obj["d"])
-        s = SSet.from_iterable(int(p) for p in obj["s"])
+        primes = [int(p) for p in obj["s"]]
+        if d > MAX_D or any(p > MAX_D for p in primes):
+            raise CertificateParseError(f"d or a prime of s exceeds MAX_D = {MAX_D}")
+        s = SSet.from_iterable(primes)
         payload = obj["payload"]
         if kind == "cover":
             # fresh link tuples: sharing them with the producer's

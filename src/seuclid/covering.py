@@ -6,10 +6,11 @@ applies the discriminant sufficiency bound, and computes the uncovered
 residual gaps used in the exceptional-case analysis.  Exact integer
 endpoint keys order the family, and one greedy sweep over those keys
 (`_key_chain`) builds every cover chain: the cover search's, which
-also fixes the minimal k_max, and `covers_unit`'s.  The keys compare
-exactly as the endpoints do, and `seuclid verify` replays each chain
-with surd arithmetic.  One exact sweep (`_sweep`) serves that replay,
-residual gaps and the gap-line pieces in :mod:`seuclid.disks`.
+also fixes the minimal k_max (sweeping only from its lower bound
+theorem2_bound - 1 on), and `covers_unit`'s.  The keys compare exactly
+as the endpoints do, and `seuclid verify` replays each chain with surd
+arithmetic.  One exact sweep (`_sweep`) serves that replay, residual
+gaps and the gap-line pieces in :mod:`seuclid.disks`.
 
 Produced chains share their links: every certificate that links I_j^k
 holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
@@ -21,7 +22,6 @@ cannot grow it.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -265,15 +265,12 @@ def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
 
 
 def theorem2_bound(fld: QuadField) -> int:
-    """Smallest integer strictly greater than sqrt(D/3).
+    """Smallest integer b with 3*b^2 > D, i.e. floor(sqrt(D/3)) + 1.
 
     Any S containing all primes below this bound admits a cover
-    certificate.
+    certificate, and no cover has k_max < b - 1 (see certify_euclidean).
     """
-    b = 1
-    while 3 * b * b <= fld.D:
-        b += 1
-    return b
+    return math.isqrt(fld.D // 3) + 1
 
 
 def certify_euclidean(
@@ -281,29 +278,35 @@ def certify_euclidean(
 ) -> CoverCertificate | Verdict:
     """Run the covering procedure: add the intervals of each S-smooth
     k <= X = 3*q^2 (q = smallest prime not in S) in increasing k to one
-    family sorted by exact integer endpoint keys, until it covers [0, 1].
+    family, until it covers [0, 1].
 
-    Adding intervals never uncovers a point, so the first k that covers
-    is the minimal sufficient k_max.  After each k, `_key_chain` sweeps
-    the family from 0; before the first cover it stops within the first
-    intervals.  Its chain at the first cover is the certificate, the
-    same one `covers_unit(intervals(fld, s, k_max))` returns, with no
-    surd arithmetic: the keys compare exactly as the endpoints do, and
-    `seuclid verify` replays the chain with surds.  Returns that
-    certificate, or an "unknown" Verdict when D > 3*q^2 (no cover can
-    exist) or no cover is found up to X.
+    No family with k < k0 = theorem2_bound(fld) - 1 covers: the point
+    r = sqrt(3/D) <= 1 (the right end of I_0^1) lies in I_j^k iff
+    |j - k*r| < r, which fails for j = 0 and for j >= 1 needs
+    (k + 1)*r > 1, i.e. 3*(k + 1)^2 > D.  So each k below k0 only adds
+    its intervals; from k0 on, each k sorts the family by exact integer
+    endpoint keys and sweeps it with `_key_chain`.  Adding intervals
+    never uncovers a point, so the first k that covers is the minimal
+    k_max.  Its chain is the certificate, the one `covers_unit` returns
+    on `intervals(fld, s, k_max)`, found with no surd arithmetic;
+    `seuclid verify` replays it with surds.  Returns that certificate,
+    or an "unknown" Verdict when D > 3*q^2 (no cover can exist) or no
+    cover is found up to X.
     """
     q = s.smallest_missing_prime()
     x = 3 * q * q if k_max is None else k_max
     if fld.D > 3 * q * q:
         return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
     B, f, c = _endpoint_keys(fld.D, x)
+    k0 = theorem2_bound(fld) - 1
     family: list[tuple[int, int, int, int]] = []
     for cand in s.smooth():
         if cand > x:
             break
-        for iv in _keyed_intervals_of(cand, B, f, c):
-            bisect.insort_right(family, iv)
+        family += _keyed_intervals_of(cand, B, f, c)
+        if cand < k0:
+            continue
+        family.sort()
         chain = _key_chain(family, 1 << B)
         if chain[-1][3] > 1 << B:
             return _certificate(chain, fld.d, s)

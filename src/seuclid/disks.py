@@ -85,10 +85,7 @@ def _corner_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bo
     a, b, c = disk.center.a, disk.center.b, disk.center.c
     su = iu * c - a * den
     tv = iv * c - b * den
-    if fld.half_basis:
-        q = su * su + su * tv + ((1 + fld.d) // 4) * tv * tv
-    else:
-        q = su * su + fld.d * tv * tv
+    q = su * (su + fld.h * tv) + fld.e * tv * tv
     m2 = den * den * c * c
     r = disk.r_squared
     return q * r.denominator < r.numerator * m2
@@ -134,7 +131,7 @@ def _corner_range(fld: QuadField, disk: Disk, iu: int, n: int) -> tuple[int, int
     discriminant bounds it, and _corner_inside settles both ends.
     """
     a, b, c = disk.center.a, disk.center.b, disk.center.c
-    h, e = (1, (1 + fld.d) // 4) if fld.half_basis else (0, fld.d)
+    h, e = fld.h, fld.e
     rn, rd = disk.r_squared.numerator, disk.r_squared.denominator
     su = iu * c - a * n
     a2, b1 = 2 * e * rd, h * su * rd
@@ -261,7 +258,7 @@ def _piece_bound(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tupl
     every x whose denominator is coprime to S (see verify_gap_line)."""
     a, b, c = alpha.a, alpha.b, alpha.c
     u, v = y0.numerator, y0.denominator
-    h, e = (1, (1 + fld.d) // 4) if fld.half_basis else (0, fld.d)
+    h, e = fld.h, fld.e
     beta = c * u - b * v
     g = math.gcd(v * v * c * c, v * c * (h * beta - 2 * v * a), v * v * a * a - h * v * a * beta + e * beta * beta)
     m = Fraction(c * c * s_part_strip(g, s), g)

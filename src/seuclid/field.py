@@ -29,12 +29,19 @@ class QuadField:
 
     half_basis is True when -d = 1 (mod 4), in which case the ring of
     integers is Z[w] with w = (1 + sqrt(-d))/2 and the absolute
-    discriminant D equals d; otherwise w = sqrt(-d) and D = 4d.
+    discriminant D equals d; otherwise w = sqrt(-d) and D = 4d.  Either
+    way w^2 = h*w - e and D = 4*e - h^2, with (h, e) = (1, (1+d)/4) or (0, d).
     """
 
     d: int
     D: int
     half_basis: bool
+    h: int
+    e: int
+
+    def norm_form(self, A: int, B: int) -> int:
+        """N(A + B*w) = A^2 + h*A*B + e*B^2."""
+        return A * (A + self.h * B) + self.e * B * B
 
     def element(self, a: int, b: int = 0, c: int = 1) -> "KElement":
         return KElement(a, b, c, self)
@@ -56,8 +63,8 @@ def make_field(d: int) -> QuadField:
         raise ValueError(f"d must be positive, got {d}")
     if not squarefree(d):
         raise ValueError(f"d must be squarefree, got {d}")
-    half = (-d) % 4 == 1
-    return QuadField(d=d, D=d if half else 4 * d, half_basis=half)
+    h, e = (1, (1 + d) // 4) if (-d) % 4 == 1 else (0, d)
+    return QuadField(d=d, D=4 * e - h * h, half_basis=h == 1, h=h, e=e)
 
 
 @dataclass(frozen=True)
@@ -116,17 +123,10 @@ class KElement:
         if isinstance(other, int):
             return KElement(self.a * other, self.b * other, self.c, self.field)
         self._check_same_field(other)
-        d = self.field.d
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if self.field.half_basis:
-            # w^2 = w - (1+d)/4
-            e = (1 + d) // 4
-            a = a1 * a2 - b1 * b2 * e
-            b = a1 * b2 + a2 * b1 + b1 * b2
-        else:
-            # w^2 = -d
-            a = a1 * a2 - d * b1 * b2
-            b = a1 * b2 + a2 * b1
+        bb = b1 * b2  # times w^2 = h*w - e
+        a = a1 * a2 - self.field.e * bb
+        b = a1 * b2 + a2 * b1 + self.field.h * bb
         return KElement(a, b, self.c * other.c, self.field)
 
     __rmul__ = __mul__
@@ -139,10 +139,7 @@ class KElement:
 
     def real_imag_squared(self) -> tuple[Fraction, Fraction]:
         """(Re, Im^2) of the complex number, both exact rationals."""
-        if self.field.half_basis:
-            re = Fraction(2 * self.a + self.b, 2 * self.c)
-        else:
-            re = Fraction(self.a, self.c)
+        re = Fraction(2 * self.a + self.field.h * self.b, 2 * self.c)
         im2 = Fraction(self.b * self.b * self.field.D, 4 * self.c * self.c)
         return re, im2
 
@@ -160,12 +157,7 @@ class KElement:
 
 def norm(x: KElement) -> Fraction:
     """The field norm N((a+bw)/c), an exact nonnegative rational."""
-    d = x.field.d
-    if x.field.half_basis:
-        num = x.a * x.a + x.a * x.b + ((1 + d) // 4) * x.b * x.b
-    else:
-        num = x.a * x.a + d * x.b * x.b
-    return Fraction(num, x.c * x.c)
+    return Fraction(x.field.norm_form(x.a, x.b), x.c * x.c)
 
 
 def s_norm(x: KElement, s: SSet) -> Fraction:

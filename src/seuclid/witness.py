@@ -121,8 +121,7 @@ def oracle_min_snorm(
     if n_max < 0 or coeff_max < 1:
         raise ValueError("oracle bounds must be positive")
     fld = xi0.field
-    half = fld.half_basis
-    e = (1 + d) // 4 if half else 0
+    h, e = fld.h, fld.e
     a0, b0, c0 = xi0.a, xi0.b, xi0.c
     best_num = best_den = 0
     best_alpha = None
@@ -135,14 +134,13 @@ def oracle_min_snorm(
             sden //= p
         for a in rng:
             ap = a0 * pn - a * c0
+            # N(ap + bp*w) = ap^2 + bp*(h*ap + e*bp)
+            ap2, hap = ap * ap, h * ap
             for b in rng:
                 bp = b0 * pn - b * c0
                 if ap == 0 and bp == 0:
                     continue  # alpha equals xi0
-                if half:
-                    num = ap * ap + ap * bp + e * bp * bp
-                else:
-                    num = ap * ap + d * bp * bp
+                num = ap2 + bp * (hap + e * bp)
                 while num % p == 0:
                     num //= p
                 # compare num/sden against the best so far

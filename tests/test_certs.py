@@ -88,6 +88,24 @@ def test_certificate_bytes_pinned():
     assert digest.hexdigest() == PINNED_DIGEST
 
 
+# sha256 over the canonical JSON (one line each) of all 1824 Theorem-2
+# cover certificates for squarefree d <= 3000, schema 2.0
+PINNED_THEOREM2_DIGEST = "5a70809752733d29259ad11e507250f36c6719866851a2b5b33a120a5c1b1bc2"
+
+
+def test_theorem2_bytes_pinned_to_3000():
+    digest = hashlib.sha256()
+    count = 0
+    for d in range(1, 3001):
+        if squarefree(d):
+            fld = make_field(d)
+            cert = certify_euclidean(fld, SSet.from_iterable(primes_below(theorem2_bound(fld))))
+            digest.update(canonical_json(certificate_to_obj(cert)).encode() + b"\n")
+            count += 1
+    assert count == 1824
+    assert digest.hexdigest() == PINNED_THEOREM2_DIGEST
+
+
 _ZERO = {"num": "0", "den": "1"}
 _ONE = {"num": "1", "den": "1"}
 

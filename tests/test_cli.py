@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from seuclid.certs import MAX_BUNDLE_K_MAX, MAX_DISKS, MAX_GAP_LINE_PIECES, save_certificate
+from seuclid.certs import MAX_BUNDLE_K_MAX, MAX_D, MAX_DISKS, MAX_GAP_LINE_PIECES, save_certificate
 from seuclid.cli import main
 from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
 
@@ -270,3 +270,27 @@ def test_verify_built_ins_within_work_limits(tmp_path, capsys):
         path = tmp_path / f"{i}.json"
         save_certificate(cert, str(path))
         assert main(["verify", str(path)]) == 0, cert
+
+
+def _add_prime(obj, p):
+    obj["s"].append(p)
+
+
+def _set_d(obj, d):
+    obj["d"] = d
+
+
+@pytest.mark.parametrize("forge", [_add_prime, _set_d])
+def test_verify_huge_d_or_prime_exit_1_at_once(forge, tmp_path, capsys):
+    # 2^61 - 1 is prime and squarefree: trial division of it would not
+    # end, so the parser rejects any d or prime of s past MAX_D first
+    path = tmp_path / "c.json"
+    assert main(["check", "67", "--s", "2,3", "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    forge(obj, 2**61 - 1)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert str(MAX_D) in capsys.readouterr().err

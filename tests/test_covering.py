@@ -274,6 +274,12 @@ def test_theorem2_bound():
     assert theorem2_bound(make_field(163)) == 8
     assert theorem2_bound(make_field(3)) == 2
     assert theorem2_bound(make_field(5)) == 3
+    # the smallest b with 3*b^2 > D, so D >= 3*(b - 1)^2
+    for d in range(1, 20000):
+        if squarefree(d):
+            fld = make_field(d)
+            b = theorem2_bound(fld)
+            assert 3 * b * b > fld.D >= 3 * (b - 1) ** 2, d
 
 
 def test_replay_rejects_broken_chain():
@@ -437,9 +443,33 @@ def test_one_pass_search_is_minimal(d, prefix, extra, k_max):
         assert result.certificate is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    # d <= 300 makes covers (D <= 3*q^2) common
+    st.one_of(*(st.sampled_from([d for d in range(1, top) if squarefree(d)]) for top in (301, 3001))),
+    st.integers(min_value=0, max_value=len(SMALL_PRIMES)),
+    st.sets(st.sampled_from(SMALL_PRIMES)),
+)
+def test_no_cover_below_k0(d, prefix, extra):
+    """The right end sqrt(3/D) of I_0^1 lies in no I_j^k with
+    k < k0 = theorem2_bound - 1, so the family of the largest S-smooth
+    k below k0 leaves it uncovered, and every cover has k_max >= k0."""
+    fld = make_field(d)
+    s = SSet.from_iterable(SMALL_PRIMES[:prefix] + tuple(extra))
+    k0 = theorem2_bound(fld) - 1
+    below = s.smooth_upto(k0 - 1)
+    if below:
+        assert isinstance(covers_unit(intervals(fld, s, below[-1]), d=d, s=s), Verdict)
+    result = certify_euclidean(fld, s)
+    if isinstance(result, CoverCertificate):
+        assert result.k_max >= k0
+
+
 def test_theorem2_kmax_pinned():
     """The minimal k_max of every Theorem-2 cover for squarefree d <= 1000
-    (S = all primes below theorem2_bound), as pinned for the benchmark."""
+    (S = all primes below theorem2_bound), as pinned for the benchmark;
+    each is the lemma's lower bound theorem2_bound - 1, as data, not as a
+    proof that the bound is always reached."""
     path = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
     pinned = json.loads(path.read_text())["theorem2_kmax"]
     ds = [d for d in range(1, 1001) if squarefree(d)]
@@ -448,7 +478,7 @@ def test_theorem2_kmax_pinned():
         fld = make_field(d)
         cert = certify_euclidean(fld, SSet.from_iterable(primes_below(theorem2_bound(fld))))
         assert isinstance(cert, CoverCertificate)
-        assert cert.k_max == pinned[str(d)], d
+        assert cert.k_max == pinned[str(d)] == theorem2_bound(fld) - 1, d
 
 
 def _shared_links() -> int:

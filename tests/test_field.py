@@ -22,6 +22,11 @@ def test_make_field():
     assert (F15.D, F15.half_basis) == (15, True)
     assert (F10.D, F10.half_basis) == (40, False)
     assert (F35.D, F35.half_basis) == (35, True)
+    # w^2 = h*w - e, and D = 4*e - h^2
+    for fld, h, e in ((F5, 0, 5), (F10, 0, 10), (F15, 1, 4), (F35, 1, 9)):
+        assert (fld.h, fld.e) == (h, e)
+        assert fld.w * fld.w == fld.w * h - e
+        assert fld.D == 4 * e - h * h
     with pytest.raises(ValueError):
         make_field(12)
     with pytest.raises(ValueError):
