@@ -177,7 +177,7 @@ def _key_chain(family: list[tuple[int, int, int, int]], one: int) -> list[tuple[
     return chain
 
 
-def _sweep(items, *, first_gap_only: bool = False):
+def _sweep(items):
     """One left-to-right pass deciding which parts of [0, 1] the items
     cover.
 
@@ -188,10 +188,8 @@ def _sweep(items, *, first_gap_only: bool = False):
     and starts a new prefix.  In order of left end (closed before open on
     ties) the gaps are exactly the maximal uncovered pieces of [0, 1],
     each a (start, end) pair whose endpoints belong to it unless an item
-    covers them.  Returns (reach raisers, gaps); with `first_gap_only` it
-    stops at the first gap.
+    covers them.  Returns the gaps.
     """
-    raisers = []
     gaps = []
     reach, covered = _ZERO, False
     for item in items:
@@ -200,18 +198,15 @@ def _sweep(items, *, first_gap_only: bool = False):
             if surd_cmp(item.lo, _ONE) > 0:
                 break
             gaps.append((reach, item.lo))
-            if first_gap_only:
-                return raisers, gaps
         c = surd_cmp(item.hi, reach)
         if c > 0:
             reach, covered = item.hi, item.hi_closed
-            raisers.append(item)
         elif c == 0 and item.hi_closed:
             covered = True
     c = surd_cmp(reach, _ONE)
     if c < 0 or (c == 0 and not covered):
         gaps.append((reach, _ONE))
-    return raisers, gaps
+    return gaps
 
 
 def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | Verdict:
@@ -260,8 +255,8 @@ def _certificate(chain: list[tuple[int, int, int, int]], d: int, s: SSet) -> Cov
 def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
     """Independently re-check a certificate chain with surd comparisons
     only: the sweep runs over the chain's intervals as given and rejects
-    at the first gap, so any order that covers [0, 1] link by link passes."""
-    return not _sweep([Interval.make(j, k, D) for j, k in chain], first_gap_only=True)[1]
+    any gap, so any order that covers [0, 1] link by link passes."""
+    return not _sweep([Interval.make(j, k, D) for j, k in chain])
 
 
 def theorem2_bound(fld: QuadField) -> int:
@@ -316,4 +311,4 @@ def certify_euclidean(
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     """Exact maximal closed gaps of [0, 1] left uncovered by the open
     intervals with S-smooth k <= k_max, sorted left to right."""
-    return Residual(tuple(_sweep(intervals(fld, s, k_max))[1]))
+    return Residual(tuple(_sweep(intervals(fld, s, k_max))))

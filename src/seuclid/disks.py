@@ -1,9 +1,9 @@
 """Geometric certificates for the exceptional cases.
 
 Disk covers of the fundamental domain with radii 1/c or sqrt(p)/c
-(radius boost under congruence conditions), verified by exact
-parallelogram subdivision with adaptive refinement, plus the symbolic
-gap-line verifier used for d = 10 and d = 15.
+(radius boost under congruence conditions), verified by one exact scan
+of per-column corner ranges at every subdivision level, plus the
+symbolic gap-line verifier used for d = 10 and d = 15.
 """
 from __future__ import annotations
 
@@ -81,7 +81,8 @@ def boost_radius(fld: QuadField, s: SSet, alpha: KElement) -> Fraction:
 
 def _corner_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bool:
     """Is the point (iu/den) + (iv/den)*w strictly inside the disk?
-    Pure integer comparison of squared distances."""
+    Pure integer comparison of squared distances; the tests' reference
+    for _corner_range."""
     a, b, c = disk.center.a, disk.center.b, disk.center.c
     su = iu * c - a * den
     tv = iv * c - b * den
@@ -89,33 +90,6 @@ def _corner_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bo
     m2 = den * den * c * c
     r = disk.r_squared
     return q * r.denominator < r.numerator * m2
-
-
-def _cell_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bool:
-    """Are all four corners of the cell [iu/den, (iu+1)/den] x
-    [iv/den, (iv+1)/den] strictly inside the disk?  Squared distance is
-    convex, so then the whole cell is."""
-    return (
-        _corner_inside(fld, disk, iu, iv, den)
-        and _corner_inside(fld, disk, iu + 1, iv, den)
-        and _corner_inside(fld, disk, iu, iv + 1, den)
-        and _corner_inside(fld, disk, iu + 1, iv + 1, den)
-    )
-
-
-def _cell_covered(fld: QuadField, disks: tuple[Disk, ...], iu: int, iv: int, den: int, depth: int) -> bool:
-    """Is the cell inside one disk, or (splitting it four ways up to
-    depth times) is every piece?"""
-    if any(_cell_inside(fld, disk, iu, iv, den) for disk in disks):
-        return True
-    if depth <= 0:
-        return False
-    iu2, iv2, den2 = 2 * iu, 2 * iv, 2 * den
-    return all(
-        _cell_covered(fld, disks, iu2 + du, iv2 + dv, den2, depth - 1)
-        for du in (0, 1)
-        for dv in (0, 1)
-    )
 
 
 MAX_REFINE = 4  # four-way splits of a cell no disk holds before it fails
@@ -126,36 +100,58 @@ def _corner_range(fld: QuadField, disk: Disk, iu: int, n: int) -> tuple[int, int
     disk, as an inclusive range (lo, hi); lo > hi when there is none.
 
     With su = iu*c - a*n and tv = iv*c - b*n the corner is inside iff
-    e*r_den*tv^2 + h*su*r_den*tv + (su^2*r_den - r_num*n^2*c^2) < 0, one
-    integer range because squared distance is convex.  math.isqrt of the
-    discriminant bounds it, and _corner_inside settles both ends.
+    A*tv^2 + B*tv + C < 0 (A = e*r_den, B = h*su*r_den, C = su^2*r_den -
+    r_num*n^2*c^2).  Times 4*A > 0, that is x^2 < disc = B^2 - 4*A*C for
+    the integer x = a2*tv + b1 (a2 = 2*A, b1 = B), so |x| <= isqrt(disc - 1).
     """
     a, b, c = disk.center.a, disk.center.b, disk.center.c
     h, e = fld.h, fld.e
     rn, rd = disk.r_squared.numerator, disk.r_squared.denominator
     su = iu * c - a * n
     a2, b1 = 2 * e * rd, h * su * rd
-    # inside iff x^2 < disc for x = a2*tv + b1
     disc = b1 * b1 - 2 * a2 * (su * su * rd - rn * n * n * c * c)
     if disc <= 0:
         return 1, 0
-    root = math.isqrt(disc)
-    if root * root == disc:
-        root -= 1
+    root = math.isqrt(disc - 1)
     # |x| <= root, with x = step*iv - off
     step, off = a2 * c, a2 * b * n - b1
-    lo, hi = -((root - off) // step), (root + off) // step
-    while lo <= hi and not _corner_inside(fld, disk, iu, lo, n):
-        lo += 1
-    while lo <= hi and not _corner_inside(fld, disk, iu, hi, n):
-        hi -= 1
-    if lo > hi:
-        return 1, 0
-    while _corner_inside(fld, disk, iu, lo - 1, n):
-        lo -= 1
-    while _corner_inside(fld, disk, iu, hi + 1, n):
-        hi += 1
-    return max(lo, 0), min(hi, n)
+    return max(-((root - off) // step), 0), min((root + off) // step, n)
+
+
+def _outside_cells(fld: QuadField, disks: tuple[Disk, ...], n: int, iu0: int, iv0: int, width: int):
+    """The cells (iu, iv) of the n-grid window iu0 <= iu < iu0 + width,
+    iv0 <= iv < iv0 + width that no single disk holds, in (iu, iv) order.
+
+    A cell lies inside a convex disk exactly when its four corners do:
+    when iv and iv + 1 are in the disk's corner ranges (_corner_range)
+    of both columns iu and iu + 1.  Each column walks these cell ranges
+    in increasing iv and yields the cells outside all of them.
+    """
+    end = iv0 + width
+    right = [_corner_range(fld, disk, iu0, n) for disk in disks]
+    for iu in range(iu0, iu0 + width):
+        left, right = right, [_corner_range(fld, disk, iu + 1, n) for disk in disks]
+        spans = sorted(
+            (max(l_lo, r_lo), min(l_hi, r_hi) - 1)
+            for (l_lo, l_hi), (r_lo, r_hi) in zip(left, right)
+        )
+        nxt = iv0  # the cells below nxt in this column are held
+        for lo, hi in spans + [(end, end)]:
+            if lo > hi:
+                continue
+            for iv in range(nxt, min(lo, end)):
+                yield iu, iv
+            nxt = max(nxt, hi + 1)
+
+
+def _holds(fld: QuadField, disks: tuple[Disk, ...], iu: int, iv: int, n: int, depth: int) -> bool:
+    """Is cell (iu, iv) of the n-grid, which no single disk holds,
+    covered after up to depth four-way splits?  Its sub-cells on the
+    2n-grid that a disk holds are; each other one must hold in turn."""
+    return depth > 0 and all(
+        _holds(fld, disks, iu2, iv2, 2 * n, depth - 1)
+        for iu2, iv2 in _outside_cells(fld, disks, 2 * n, 2 * iu, 2 * iv, 2)
+    )
 
 
 def find_uncovered_cell(cert: DiskCertificate) -> tuple[int, int, int] | None:
@@ -163,33 +159,19 @@ def find_uncovered_cell(cert: DiskCertificate) -> tuple[int, int, int] | None:
     (iu, iv, den) with the cell spanning [iu/den, (iu+1)/den] in each
     basis coordinate; None when the disks cover F.
 
-    The scan goes column by column.  Each disk holds one range of corners
-    in each corner column (_corner_range), and cell (iu, iv) lies inside
-    it iff iv and iv + 1 are in the ranges of both columns iu and iu + 1.
-    Walking a column's cell ranges in increasing iv, only the cells
-    outside all of them go to _cell_covered with MAX_REFINE splits, so
-    the first uncovered cell is the first in (iu, iv) order.
+    _outside_cells scans the whole n-grid column by column, and each cell
+    it yields is refined through 2 x 2 windows of the next grids, at most
+    MAX_REFINE levels deep (_holds).  The first cell that does not hold
+    is the first uncovered one in (iu, iv) order.
     """
     n = cert.subdivision_depth
     if n < 1:
         raise ValueError("subdivision_depth must be positive")
     disks = cert.disks
     fld = disks[0].center.field if disks else make_field(cert.d)
-    right = [_corner_range(fld, disk, 0, n) for disk in disks]
-    for iu in range(n):
-        left, right = right, [_corner_range(fld, disk, iu + 1, n) for disk in disks]
-        spans = sorted(
-            (max(l_lo, r_lo), min(l_hi, r_hi) - 1)
-            for (l_lo, l_hi), (r_lo, r_hi) in zip(left, right)
-        )
-        nxt = 0  # the cells below nxt in this column are covered
-        for lo, hi in spans + [(n, n)]:
-            if lo > hi:
-                continue
-            for iv in range(nxt, lo):
-                if not _cell_covered(fld, disks, iu, iv, n, MAX_REFINE):
-                    return (iu, iv, n)
-            nxt = max(nxt, hi + 1)
+    for iu, iv in _outside_cells(fld, disks, n, 0, 0, n):
+        if not _holds(fld, disks, iu, iv, n, MAX_REFINE):
+            return iu, iv, n
     return None
 
 
@@ -307,7 +289,7 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
                 return False
     # in order of left end, closed before open on ties
     pieces = sorted(cert.pieces, key=lambda piece: (piece.lo, not piece.lo_closed))
-    return not _sweep(pieces, first_gap_only=True)[1]
+    return not _sweep(pieces)
 
 
 # --- built-in certificates -------------------------------------------------

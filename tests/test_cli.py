@@ -5,7 +5,14 @@ import time
 
 import pytest
 
-from seuclid.certs import MAX_BUNDLE_K_MAX, MAX_D, MAX_DISKS, MAX_GAP_LINE_PIECES, save_certificate
+from seuclid.certs import (
+    MAX_BUNDLE_K_MAX,
+    MAX_D,
+    MAX_DISKS,
+    MAX_GAP_LINE_PIECES,
+    MAX_SUBDIVISION_DEPTH,
+    save_certificate,
+)
 from seuclid.cli import main
 from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
 
@@ -175,6 +182,58 @@ def test_verify_bundle_piece_forgeries(mutate, code, tmp_path, capsys):
         assert "verification FAILED" in captured.out and captured.err == ""
     else:
         assert captured.err.startswith("error: ")
+
+
+def _disk_field(i, key, value):
+    return lambda payload: payload["disks"][i].update({key: value})
+
+
+def _disk_a_plus_one(i):
+    return lambda payload: payload["disks"][i].update(a=payload["disks"][i]["a"] + 1)
+
+
+def _flip_boosted(payload):
+    for disk in payload["disks"]:
+        disk["boosted"] = not disk["boosted"]
+
+
+# mutations of the depth-125 (35, 7) disk cover and the exit code each
+# gets from `seuclid verify`; the checker derives each radius bound
+# itself, so flipped `boosted` flags still verify
+DISK_FORGERIES = [
+    *((f"disk {i} a + 1", _disk_a_plus_one(i), 3) for i in (4, 5, 8, 12, 16)),
+    ("disk 5 r_squared = 2/49", _disk_field(5, "r_squared", {"num": "2", "den": "49"}), 3),
+    ("disk 4 dropped", lambda payload: payload["disks"].pop(4), 3),
+    ("disk 6 c = 3", _disk_field(6, "c", 3), 3),
+    ("disk 6 r_squared = -1/49", _disk_field(6, "r_squared", {"num": "-1", "den": "49"}), 3),
+    ("depth 0", lambda payload: payload.update(subdivision_depth=0), 3),
+    ("depth over the cap", lambda payload: payload.update(subdivision_depth=MAX_SUBDIVISION_DEPTH + 1), 3),
+    ("disk 6 r_squared missing", lambda payload: payload["disks"][6].pop("r_squared"), 1),
+    ("disk 6 a = x", _disk_field(6, "a", "x"), 1),
+    ("disk 6 c = 0", _disk_field(6, "c", 0), 1),
+    ("disk 6 r_squared.den = 0", _disk_field(6, "r_squared", {"num": "1", "den": "0"}), 1),
+    ("disks = 5", lambda payload: payload.update(disks=5), 1),
+    ("every boosted flipped", _flip_boosted, 0),
+]
+
+
+@pytest.mark.parametrize("mutate, code", [f[1:] for f in DISK_FORGERIES], ids=[f[0] for f in DISK_FORGERIES])
+def test_verify_disk_forgeries(mutate, code, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", "35", "--s", "7", "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    assert obj["kind"] == "disk" and obj["payload"]["subdivision_depth"] == 125
+    mutate(obj["payload"])
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == 1:
+        assert captured.err.startswith("error: ")
+    else:
+        assert captured.out.endswith(": valid\n" if code == 0 else ": verification FAILED\n")
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, kind", [(["17", "--s", "2"], "witness"), (["10", "--s", "2"], "exceptional-bundle")])

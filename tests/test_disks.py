@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from seuclid import disks
 from seuclid.covering import Residual, Verdict, residual
 from seuclid.disks import (
+    MAX_REFINE,
     Disk,
     DiskCertificate,
     ExceptionalBundle,
     PointPiece,
+    _corner_inside,
+    _corner_range,
+    _outside_cells,
     _orbit_keeps_gaps_apart,
     _line_point,
     _piece_bound,
@@ -99,6 +103,44 @@ def _damaged(p, drop=None, shrink=None, depth=125):
     return replace(cert, disks=disks)
 
 
+# the brute-force reference, corner by corner through _corner_inside
+
+
+def _cell_inside(fld, disk, iu, iv, den):
+    return all(_corner_inside(fld, disk, iu + du, iv + dv, den) for du in (0, 1) for dv in (0, 1))
+
+
+def _cell_covered(fld, cert_disks, iu, iv, den, depth, tally):
+    """Is the cell inside one disk, or (splitting it four ways up to
+    depth times) is every piece?  Each call appends den to tally."""
+    tally.append(den)
+    if any(_cell_inside(fld, disk, iu, iv, den) for disk in cert_disks):
+        return True
+    return depth > 0 and all(
+        _cell_covered(fld, cert_disks, 2 * iu + du, 2 * iv + dv, 2 * den, depth - 1, tally)
+        for du in (0, 1)
+        for dv in (0, 1)
+    )
+
+
+def _first_uncovered_by_brute_force(cert, tally=None):
+    """The first cell in (iu, iv) order that is not covered; tally counts
+    the _cell_covered calls on the cells no single disk holds."""
+    tally = [] if tally is None else tally
+    n = cert.subdivision_depth
+    fld = make_field(cert.d)
+    return next(
+        (
+            (iu, iv, n)
+            for iu in range(n)
+            for iv in range(n)
+            if not any(_cell_inside(fld, disk, iu, iv, n) for disk in cert.disks)
+            and not _cell_covered(fld, cert.disks, iu, iv, n, MAX_REFINE, tally)
+        ),
+        None,
+    )
+
+
 # first uncovered cells of damaged table certificates, recorded with the
 # earlier scan that precomputed every disk's corner grid
 @pytest.mark.parametrize("p, drop, shrink, cell", [
@@ -115,17 +157,36 @@ def test_first_uncovered_cell_pinned(p, drop, shrink, cell):
 
 @pytest.mark.parametrize("p, drop", [(5, 3), (7, 10)])
 def test_first_uncovered_cell_is_the_first_in_scan_order(p, drop):
-    from seuclid.disks import MAX_REFINE, _cell_covered
-
     cert = _damaged(p, drop, depth=30)
-    n = cert.subdivision_depth
-    first = next(
-        (iu, iv, n)
-        for iu in range(n)
-        for iv in range(n)
-        if not _cell_covered(F35, cert.disks, iu, iv, n, MAX_REFINE)
-    )
+    first = _first_uncovered_by_brute_force(cert)
+    assert first is not None
     assert find_uncovered_cell(cert) == first
+
+
+# the table covers at depths where refinement goes several levels deep:
+# the reference calls _cell_covered `split` times, and _holds is asked
+# about `refined` cells, the finest on the grid `finest`
+@pytest.mark.parametrize("p, depth, cell, split, refined, finest", [
+    (7, 10, (2, 3, 10), 85, 23, 160),
+    (5, 10, None, 292, 68, 40),
+    (5, 40, None, 100, 20, 40),
+    (7, 40, None, 280, 62, 320),
+])
+def test_table_refinement_pinned(monkeypatch, p, depth, cell, split, refined, finest):
+    cert = table_disk_certificate(p, depth)
+    grids = []
+    holds = disks._holds
+
+    def counted(fld, cert_disks, iu, iv, n, levels):
+        grids.append(n)
+        return holds(fld, cert_disks, iu, iv, n, levels)
+
+    monkeypatch.setattr(disks, "_holds", counted)
+    assert find_uncovered_cell(cert) == cell
+    assert (len(grids), max(grids)) == (refined, finest)
+    tally = []
+    assert _first_uncovered_by_brute_force(cert, tally) == cell
+    assert len(tally) == split
 
 
 # fields with the half basis w = (1 + sqrt(-d))/2 and with w = sqrt(-d)
@@ -152,17 +213,6 @@ def _disk_certs(draw):
     return DiskCertificate(d=fld.d, s=SSet.of(2), disks=tuple(draw(st.permutations(disks))), subdivision_depth=depth)
 
 
-def _first_uncovered_by_brute_force(cert):
-    from seuclid.disks import MAX_REFINE, _cell_covered
-
-    n = cert.subdivision_depth
-    fld = make_field(cert.d)
-    return next(
-        ((iu, iv, n) for iu in range(n) for iv in range(n) if not _cell_covered(fld, cert.disks, iu, iv, n, MAX_REFINE)),
-        None,
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(_disk_certs())
 def test_column_ranges_find_the_brute_force_cell(cert):
@@ -172,13 +222,28 @@ def test_column_ranges_find_the_brute_force_cell(cert):
 @settings(max_examples=300, deadline=None)
 @given(_disk_certs(), st.data())
 def test_corner_range_is_the_corners_inside(cert, data):
-    from seuclid.disks import _corner_inside, _corner_range
-
-    fld, n = make_field(cert.d), cert.subdivision_depth
+    fld = make_field(cert.d)
+    # the scan's grid or one of the refined grids n*2^r
+    n = cert.subdivision_depth << data.draw(st.integers(min_value=0, max_value=MAX_REFINE))
     iu = data.draw(st.integers(min_value=0, max_value=n))
     for disk in cert.disks:
         lo, hi = _corner_range(fld, disk, iu, n)
         assert list(range(lo, hi + 1)) == [iv for iv in range(n + 1) if _corner_inside(fld, disk, iu, iv, n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disk_certs(), st.data())
+def test_outside_cells_of_a_window(cert, data):
+    fld, n = make_field(cert.d), cert.subdivision_depth
+    width = data.draw(st.integers(min_value=1, max_value=n))
+    iu0 = data.draw(st.integers(min_value=0, max_value=n - width))
+    iv0 = data.draw(st.integers(min_value=0, max_value=n - width))
+    assert list(_outside_cells(fld, cert.disks, n, iu0, iv0, width)) == [
+        (iu, iv)
+        for iu in range(iu0, iu0 + width)
+        for iv in range(iv0, iv0 + width)
+        if not any(_cell_inside(fld, disk, iu, iv, n) for disk in cert.disks)
+    ]
 
 
 def test_verify_monotone_in_disks():
@@ -197,8 +262,6 @@ def test_corner_soundness():
     disk = Disk(center=KElement(2, 1, 5, F35), r_squared=Fraction(1, 5), boosted=True)
     n = 50
     fld = F35
-    from seuclid.disks import _corner_inside
-
     cells = [
         (iu, iv)
         for iu in range(n)
@@ -221,15 +284,14 @@ def test_corner_soundness():
 
 
 def test_cell_inside_needs_all_four_corners():
-    from seuclid.disks import _cell_inside, _corner_inside
-
     n = 40
     for disk in table_disk_certificate(7).disks[4:8]:
+        outside = set(_outside_cells(F35, (disk,), n, 0, 0, n))
         seen = set()
         for iu in range(n):
             for iv in range(n):
                 corners = [_corner_inside(F35, disk, iu + du, iv + dv, n) for du in (0, 1) for dv in (0, 1)]
-                assert _cell_inside(F35, disk, iu, iv, n) == all(corners)
+                assert ((iu, iv) in outside) == (not all(corners))
                 seen.add(sum(corners))
         assert 3 in seen  # some cells have exactly three corners inside
 
