@@ -70,9 +70,16 @@ def _frac(q: Fraction) -> dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
+def _typed(value: Any, kind: type, name: str) -> Any:
+    """`value` if its type is exactly `kind`, so no bool passes for an int."""
+    if type(value) is not kind:
+        raise CertificateParseError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _read_frac(obj: Any) -> Fraction:
     try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(int(_typed(obj["num"], str, "num")), int(_typed(obj["den"], str, "den")))
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateParseError(f"bad rational: {obj!r}") from exc
 
@@ -82,7 +89,7 @@ def _elem(x: KElement) -> dict[str, int]:
 
 
 def _read_elem(obj: Any, fld: QuadField) -> KElement:
-    return KElement(int(obj["a"]), int(obj["b"]), int(obj["c"]), fld)
+    return KElement(*(_typed(obj[key], int, key) for key in "abc"), fld)
 
 
 def _surd(v: SurdValue) -> dict[str, Any]:
@@ -91,7 +98,7 @@ def _surd(v: SurdValue) -> dict[str, Any]:
 
 
 def _read_surd(obj: Any) -> SurdValue:
-    return _read_frac(obj["a"]) + _read_frac(obj["b"]) * SurdValue(P=0, Q=1, m=int(obj["m"]))
+    return _read_frac(obj["a"]) + _read_frac(obj["b"]) * SurdValue(P=0, Q=1, m=_typed(obj["m"], int, "m"))
 
 
 Certificate = CoverCertificate | DiskCertificate | WitnessCertificate | ExceptionalBundle
@@ -175,8 +182,8 @@ def certificate_from_obj(obj: Any) -> Certificate:
     structural problem."""
     try:
         kind = obj["kind"]
-        d = int(obj["d"])
-        primes = [int(p) for p in obj["s"]]
+        d = _typed(obj["d"], int, "d")
+        primes = [_typed(p, int, "s") for p in obj["s"]]
         if d > MAX_D or any(p > MAX_D for p in primes):
             raise CertificateParseError(f"d or a prime of s exceeds MAX_D = {MAX_D}")
         s = SSet.from_iterable(primes)
@@ -187,8 +194,8 @@ def certificate_from_obj(obj: Any) -> Certificate:
             return CoverCertificate(
                 d=d,
                 s=s,
-                k_max=int(payload["k_max"]),
-                chain=tuple((int(e["j"]), int(e["k"])) for e in payload["chain"]),
+                k_max=_typed(payload["k_max"], int, "k_max"),
+                chain=tuple((_typed(e["j"], int, "j"), _typed(e["k"], int, "k")) for e in payload["chain"]),
             )
         fld = make_field(d)
         if kind == "disk":
@@ -196,13 +203,12 @@ def certificate_from_obj(obj: Any) -> Certificate:
                 Disk(
                     center=_read_elem(e, fld),
                     r_squared=_read_frac(e["r_squared"]),
-                    boosted=bool(e["boosted"]),
+                    boosted=_typed(e["boosted"], bool, "boosted"),
                 )
                 for e in payload["disks"]
             )
-            return DiskCertificate(
-                d=d, s=s, disks=disks, subdivision_depth=int(payload["subdivision_depth"])
-            )
+            depth = _typed(payload["subdivision_depth"], int, "subdivision_depth")
+            return DiskCertificate(d=d, s=s, disks=disks, subdivision_depth=depth)
         if kind == "witness":
             p = _one_prime(kind, s)
             return WitnessCertificate(
@@ -224,7 +230,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
             return ExceptionalBundle(
                 d=d,
                 p=p,
-                k_max=int(payload["k_max"]),
+                k_max=_typed(payload["k_max"], int, "k_max"),
                 gap_rationals=tuple(_read_frac(y) for y in payload["gap_rationals"]),
                 gap_lines=lines,
             )
@@ -249,8 +255,8 @@ def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
         alpha=alpha,
         lo=_read_surd(obj["lo"]),
         hi=_read_surd(obj["hi"]),
-        lo_closed=bool(obj["lo_closed"]),
-        hi_closed=bool(obj["hi_closed"]),
+        lo_closed=_typed(obj["lo_closed"], bool, "lo_closed"),
+        hi_closed=_typed(obj["hi_closed"], bool, "hi_closed"),
     )
 
 
@@ -323,5 +329,5 @@ def load_certificate_obj(path: str) -> Any:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CertificateParseError(f"cannot read certificate file: {exc}") from exc

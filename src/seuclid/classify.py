@@ -10,10 +10,10 @@ from .witness import WitnessCertificate, certify_non_euclidean
 __all__ = ["decide", "survey_rows"]
 
 
-def decide(d: int, s: SSet, k_max: int | None = None) -> Verdict:
+def decide(d: int, s: SSet) -> Verdict:
     """The check pipeline: covering, then the exceptional certificates,
     then the witness lower bounds (the latter two for singleton S)."""
-    cover = certify_euclidean(make_field(d), s, k_max)
+    cover = certify_euclidean(make_field(d), s)
     if isinstance(cover, CoverCertificate):
         return Verdict("euclidean-cover", cover, f"cover certificate, minimal k_max {cover.k_max}")
     if len(s) == 1:

@@ -55,7 +55,7 @@ def _check_d(d: int) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     d = _check_d(args.d)
     s = _parse_s(args.s)
-    verdict = decide(d, s, args.kmax)
+    verdict = decide(d, s)
     label = {
         "euclidean-cover": "Euclidean",
         "euclidean-exceptional": "Euclidean (exceptional)",
@@ -96,7 +96,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     d = _check_d(args.d)
     s = _parse_s(args.s)
-    verdict = decide(d, s, args.kmax)
+    verdict = decide(d, s)
     if verdict.certificate is None:
         print(f"no certificate to render: {verdict.reason}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide one (d, S) pair")
     p_check.add_argument("d", type=int)
     p_check.add_argument("--s", default="", help="comma-separated primes, e.g. 2,3")
-    p_check.add_argument("--kmax", type=int, default=None)
     p_check.add_argument("--cert", default=None, help="write certificate JSON here")
     p_check.set_defaults(func=cmd_check)
 
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render the certificate for (d, S) as SVG")
     p_render.add_argument("d", type=int)
     p_render.add_argument("--s", default="")
-    p_render.add_argument("--kmax", type=int, default=None)
     p_render.add_argument("-o", "--output", required=True)
     p_render.set_defaults(func=cmd_render)
 

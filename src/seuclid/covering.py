@@ -2,15 +2,17 @@
 
 Builds the interval family I_j^k = ((j - sqrt(3/D))/k, (j + sqrt(3/D))/k)
 for S-smooth k, checks exact coverage of the closed unit interval,
-applies the discriminant sufficiency bound, and computes the uncovered
-residual gaps used in the exceptional-case analysis.  Exact integer
-endpoint keys order the family, and one greedy sweep over those keys
-(`_key_chain`) builds every cover chain: the cover search's, which
-also fixes the minimal k_max (sweeping only from its lower bound
-theorem2_bound - 1 on), and `covers_unit`'s.  The keys compare exactly
-as the endpoints do, and `seuclid verify` replays each chain with surd
-arithmetic.  One exact sweep (`_sweep`) serves that replay, residual
-gaps and the gap-line pieces in :mod:`seuclid.disks`.
+certifies covers and computes the uncovered residual gaps used in the
+exceptional-case analysis.  A cover exists iff D < 3*q^2 (q the
+smallest prime not in S), and then its minimal k_max is
+k0 = theorem2_bound - 1 and the Farey family of order k0 covers (proof
+in `certify_euclidean`), so the certificate needs no search.  Exact
+integer endpoint keys order the family, and one greedy sweep over those
+keys (`_key_chain`) builds every cover chain, the certificate's and
+`covers_unit`'s.  The keys compare exactly as the endpoints do, and
+`seuclid verify` replays each chain with surd arithmetic.  One exact
+sweep (`_sweep`) serves that replay, residual gaps and the gap-line
+pieces in :mod:`seuclid.disks`.
 
 Produced chains share their links: every certificate that links I_j^k
 holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
@@ -139,14 +141,19 @@ def _keyed_intervals_of(k: int, B: int, f: int, c: int):
     )
 
 
+def _keyed_family(D: int, ks: range | list[int]) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """B and the sorted (lo_key, k, j, hi_key) tuples of every I_j^k with
+    k in the ascending sequence `ks`, keys from `_endpoint_keys(D, ks[-1])`."""
+    B, f, c = _endpoint_keys(D, ks[-1])
+    return B, sorted(iv for k in ks for iv in _keyed_intervals_of(k, B, f, c))
+
+
 def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
     """All I_j^k with S-smooth k <= k_max, 0 <= j <= k, gcd(j, k) = 1,
     sorted by left endpoint; ties keep increasing k, then j."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    B, f, c = _endpoint_keys(fld.D, k_max)
-    family = sorted(iv for k in s.smooth_upto(k_max) for iv in _keyed_intervals_of(k, B, f, c))
-    return [Interval.make(j, k, fld.D) for _, k, j, _ in family]
+    return [Interval.make(j, k, fld.D) for _, k, j, _ in _keyed_family(fld.D, s.smooth_upto(k_max))[1]]
 
 
 def _key_chain(family: list[tuple[int, int, int, int]], one: int) -> list[tuple[int, int, int, int]]:
@@ -262,50 +269,38 @@ def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
 def theorem2_bound(fld: QuadField) -> int:
     """Smallest integer b with 3*b^2 > D, i.e. floor(sqrt(D/3)) + 1.
 
-    Any S containing all primes below this bound admits a cover
-    certificate, and no cover has k_max < b - 1 (see certify_euclidean).
+    (K, S) has a cover certificate exactly when S contains every prime
+    below b, and then its minimal k_max is b - 1 (see certify_euclidean).
     """
     return math.isqrt(fld.D // 3) + 1
 
 
-def certify_euclidean(
-    fld: QuadField, s: SSet, k_max: int | None = None
-) -> CoverCertificate | Verdict:
-    """Run the covering procedure: add the intervals of each S-smooth
-    k <= X = 3*q^2 (q = smallest prime not in S) in increasing k to one
-    family, until it covers [0, 1].
+def certify_euclidean(fld: QuadField, s: SSet) -> CoverCertificate | Verdict:
+    """The cover certificate of minimal k_max, or an "unknown" Verdict
+    when D > 3*q^2 (q = smallest prime not in S), where no cover exists:
+    then r = sqrt(3/D) < 1/q, and 1/q lies in no I_j^k of S-smooth k, as
+    |k/q - j| >= 1/q.
 
-    No family with k < k0 = theorem2_bound(fld) - 1 covers: the point
-    r = sqrt(3/D) <= 1 (the right end of I_0^1) lies in I_j^k iff
-    |j - k*r| < r, which fails for j = 0 and for j >= 1 needs
-    (k + 1)*r > 1, i.e. 3*(k + 1)^2 > D.  So each k below k0 only adds
-    its intervals; from k0 on, each k sorts the family by exact integer
-    endpoint keys and sweeps it with `_key_chain`.  Adding intervals
-    never uncovers a point, so the first k that covers is the minimal
-    k_max.  Its chain is the certificate, the one `covers_unit` returns
-    on `intervals(fld, s, k_max)`, found with no surd arithmetic;
-    `seuclid verify` replays it with surds.  Returns that certificate,
-    or an "unknown" Verdict when D > 3*q^2 (no cover can exist) or no
-    cover is found up to X.
+    Otherwise D < 3*q^2 (D is d or 4*d, and D = 3*q^2 would need a
+    square factor of d or d = 3, where D = 3), so every
+    k <= k0 = theorem2_bound(fld) - 1 < q is S-smooth, and k0 is the
+    minimal k_max.  No family with k < k0 covers: r <= 1, the right end
+    of I_0^1, lies in I_j^k iff |j - k*r| < r, which fails for j = 0 and
+    for j >= 1 needs (k + 1)*r > 1, i.e. 3*(k + 1)^2 > D.  The family of
+    every k <= k0 covers: consecutive Farey fractions h/k < h'/k' of
+    order k0 have h'*k - h*k' = 1 and k + k' >= k0 + 1 (Hardy-Wright,
+    ch. III), so I_h^k and I_h'^k' overlap iff r*(k + k') > 1, i.e.
+    3*(k + k')^2 > D, which holds as k + k' >= theorem2_bound(fld); and
+    I_0^1, I_1^1 hold 0 and 1.  One `_key_chain` sweep of that family,
+    sorted by exact integer endpoint keys, gives the certificate, the
+    chain `covers_unit` returns on `intervals(fld, s, k0)`; `seuclid
+    verify` replays it with surds.
     """
     q = s.smallest_missing_prime()
-    x = 3 * q * q if k_max is None else k_max
     if fld.D > 3 * q * q:
         return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
-    B, f, c = _endpoint_keys(fld.D, x)
-    k0 = theorem2_bound(fld) - 1
-    family: list[tuple[int, int, int, int]] = []
-    for cand in s.smooth():
-        if cand > x:
-            break
-        family += _keyed_intervals_of(cand, B, f, c)
-        if cand < k0:
-            continue
-        family.sort()
-        chain = _key_chain(family, 1 << B)
-        if chain[-1][3] > 1 << B:
-            return _certificate(chain, fld.d, s)
-    return Verdict("unknown", None, f"no cover found with S-smooth k <= {x}")
+    B, family = _keyed_family(fld.D, range(1, theorem2_bound(fld)))
+    return _certificate(_key_chain(family, 1 << B), fld.d, s)
 
 
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:

@@ -149,6 +149,26 @@ def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
     assert captured.err == ""
 
 
+def _verify_forgery(argv, mutate, code, tmp_path, capsys):
+    """Write the certificate of `seuclid check argv`, mutate its object
+    in place and check that `seuclid verify` exits with `code`: 0 valid,
+    1 a parse error on stderr, 3 verification FAILED; never a traceback."""
+    path = tmp_path / "c.json"
+    assert main(["check", *argv, "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    mutate(obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == 1:
+        assert captured.err.startswith("error: ")
+    else:
+        assert captured.out.endswith(": valid\n" if code == 0 else ": verification FAILED\n")
+        assert captured.err == ""
+
+
 _HALF = {"num": "1", "den": "2"}
 _NIL = {"num": "0", "den": "1"}
 
@@ -169,19 +189,10 @@ BUNDLE_PIECE_FORGERIES = [
 
 @pytest.mark.parametrize("mutate, code", [f[1:] for f in BUNDLE_PIECE_FORGERIES], ids=[f[0] for f in BUNDLE_PIECE_FORGERIES])
 def test_verify_bundle_piece_forgeries(mutate, code, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
-    obj = json.loads(path.read_text())
-    mutate(obj["payload"]["gap_lines"][0]["pieces"][0])
-    path.write_text(json.dumps(obj))
-    capsys.readouterr()
-    assert main(["verify", str(path)]) == code
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.out + captured.err
-    if code == 3:
-        assert "verification FAILED" in captured.out and captured.err == ""
-    else:
-        assert captured.err.startswith("error: ")
+    def forge(obj):
+        mutate(obj["payload"]["gap_lines"][0]["pieces"][0])
+
+    _verify_forgery(["10", "--s", "2"], forge, code, tmp_path, capsys)
 
 
 def _disk_field(i, key, value):
@@ -219,21 +230,81 @@ DISK_FORGERIES = [
 
 @pytest.mark.parametrize("mutate, code", [f[1:] for f in DISK_FORGERIES], ids=[f[0] for f in DISK_FORGERIES])
 def test_verify_disk_forgeries(mutate, code, tmp_path, capsys):
+    def forge(obj):
+        assert obj["kind"] == "disk" and obj["payload"]["subdivision_depth"] == 125
+        mutate(obj["payload"])
+
+    _verify_forgery(["35", "--s", "7"], forge, code, tmp_path, capsys)
+
+
+def _set(*path, value):
+    """The mutation obj[path[0]]...[path[-1]] = value."""
+    def mutate(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+# one-field mutations of the (67, {2, 3}) cover, chain (0, 1), (1, 4),
+# (1, 3), (1, 2), (2, 3), (3, 4), (1, 1), and the exit code each gets
+# from `seuclid verify`; a field of the wrong JSON type is a parse error
+COVER_FORGERIES = [
+    ("unchanged", lambda obj: None, 0),
+    ("d = 67.9", _set("d", value=67.9), 1),
+    ("d = '67'", _set("d", value="67"), 1),
+    ("d = 68", _set("d", value=68), 1),
+    ("s = ['2', 3.0]", _set("s", value=["2", 3.0]), 1),
+    ("s = [2, true]", _set("s", value=[2, True]), 1),
+    ("s = [3]", _set("s", value=[3]), 3),
+    ("k_max = 5", _set("payload", "k_max", value=5), 3),
+    ("k_max = 4.0", _set("payload", "k_max", value=4.0), 1),
+    ("link 0 k = true", _set("payload", "chain", 0, "k", value=True), 1),
+    ("link 6 j = 1.0", _set("payload", "chain", 6, "j", value=1.0), 1),
+    ("link 3 k = 5", _set("payload", "chain", 3, "k", value=5), 3),
+    ("link 1 j = -1", _set("payload", "chain", 1, "j", value=-1), 3),
+    ("link 2 dropped", lambda obj: obj["payload"]["chain"].pop(2), 3),
+    ("chain missing", lambda obj: obj["payload"].pop("chain"), 1),
+]
+
+
+@pytest.mark.parametrize("mutate, code", [f[1:] for f in COVER_FORGERIES], ids=[f[0] for f in COVER_FORGERIES])
+def test_verify_cover_forgeries(mutate, code, tmp_path, capsys):
+    _verify_forgery(["67", "--s", "2,3"], mutate, code, tmp_path, capsys)
+
+
+# one-field mutations of the (5, 11) witness, xi0 = (1 + w)/2 with bound
+# 3/2 (case OddInert23), and the exit code each gets from `seuclid verify`
+WITNESS_FORGERIES = [
+    ("unchanged", lambda obj: None, 0),
+    ("d = 5.0", _set("d", value=5.0), 1),
+    ("s = [11.0]", _set("s", value=[11.0]), 1),
+    ("s = ['11']", _set("s", value=["11"]), 1),
+    ("s = [2]", _set("s", value=[2]), 3),
+    ("case_tag wrong", _set("payload", "case_tag", value="OddRamified23"), 3),
+    ("case_tag unknown", _set("payload", "case_tag", value="Bogus"), 1),
+    ("bound = 2", _set("payload", "bound", value={"num": "2", "den": "1"}), 3),
+    ("bound = 3/4", _set("payload", "bound", value={"num": "3", "den": "4"}), 3),
+    ("bound.num = 3", _set("payload", "bound", value={"num": 3, "den": "2"}), 1),
+    ("bound missing", lambda obj: obj["payload"].pop("bound"), 1),
+    ("xi0.a = 1.0", _set("payload", "xi0", "a", value=1.0), 1),
+    ("xi0.c = true", _set("payload", "xi0", "c", value=True), 1),
+    ("xi0.b = 3", _set("payload", "xi0", "b", value=3), 3),
+]
+
+
+@pytest.mark.parametrize("mutate, code", [f[1:] for f in WITNESS_FORGERIES], ids=[f[0] for f in WITNESS_FORGERIES])
+def test_verify_witness_forgeries(mutate, code, tmp_path, capsys):
+    _verify_forgery(["5", "--s", "11"], mutate, code, tmp_path, capsys)
+
+
+def test_verify_deeply_nested_json_exit_1(tmp_path, capsys):
     path = tmp_path / "c.json"
-    assert main(["check", "35", "--s", "7", "--cert", str(path)]) == 0
-    obj = json.loads(path.read_text())
-    assert obj["kind"] == "disk" and obj["payload"]["subdivision_depth"] == 125
-    mutate(obj["payload"])
-    path.write_text(json.dumps(obj))
-    capsys.readouterr()
-    assert main(["verify", str(path)]) == code
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
-    if code == 1:
-        assert captured.err.startswith("error: ")
-    else:
-        assert captured.out.endswith(": valid\n" if code == 0 else ": verification FAILED\n")
-        assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, kind", [(["17", "--s", "2"], "witness"), (["10", "--s", "2"], "exceptional-bundle")])

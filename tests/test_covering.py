@@ -62,12 +62,12 @@ def test_intervals_order_is_the_stable_surd_sort(d):
     want = sorted(ivs, key=functools.cmp_to_key(lambda u, v: surd_cmp(u.lo, v.lo)))
     if d == 3:
         assert any(surd_cmp(a.lo, b.lo) == 0 for a, b in zip(want, want[1:]))
-    # the integer keys give that order for every k the search may stop
-    # at; a stable sort keeps it on the prefix of intervals with k <= k_max
+    # the integer keys give that order for every k_max; a stable sort
+    # keeps it on the prefix of intervals with k <= k_max
     for k_max in s.smooth_upto(60):
         assert intervals(fld, s, k_max) == [iv for iv in want if iv.k <= k_max]
-    # the search's chain is the cover of that family at its k_max
-    cert = certify_euclidean(fld, s, 60)
+    # the certificate's chain is the cover of that family at its k_max
+    cert = certify_euclidean(fld, s)
     assert isinstance(cert, CoverCertificate)
     assert cert == covers_unit(intervals(fld, s, cert.k_max), d=d, s=s)
 
@@ -400,13 +400,13 @@ def test_sweep_properties(d, primes, k_max):
                 assert not surd_cmp(iv.lo, x) < 0 < surd_cmp(iv.hi, x)
 
 
-def _rebuild_per_k(fld, s, k_max=None):
+def _rebuild_per_k(fld, s):
     """Reference search: rebuild and sweep the whole family for every
     S-smooth candidate k in increasing order."""
     q = s.smallest_missing_prime()
-    x = 3 * q * q if k_max is None else k_max
-    if fld.D > 3 * q * q:
-        return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
+    x = 3 * q * q
+    if fld.D > x:
+        return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {x} for q = {q}")
     for cand in s.smooth_upto(x):
         result = covers_unit(intervals(fld, s, cand), d=fld.d, s=s)
         if isinstance(result, CoverCertificate):
@@ -419,28 +419,29 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([d for d in range(1, 301) if squarefree(d)]),
+    # d <= 300 makes covers (D < 3*q^2) common
+    st.one_of(*(st.sampled_from([d for d in range(1, top) if squarefree(d)]) for top in (301, 3001))),
     st.integers(min_value=0, max_value=len(SMALL_PRIMES)),
     st.sets(st.sampled_from(SMALL_PRIMES)),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=64)),
 )
-def test_one_pass_search_is_minimal(d, prefix, extra, k_max):
-    """The one-pass search returns the one-shot cover at its k_max, no
-    smaller S-smooth k covers, and its verdicts match the rebuild."""
-    # a prefix of the primes makes D <= 3*q^2, where covers exist, common
+def test_one_pass_search_is_minimal(d, prefix, extra):
+    """certify_euclidean equals the per-k rebuild search, and as its
+    docstring proves, a cover exists iff D < 3*q^2 (D = 3*q^2 never
+    occurs), its k_max is k0 = theorem2_bound - 1, and every k <= k0
+    is S-smooth."""
     fld = make_field(d)
     s = SSet.from_iterable(SMALL_PRIMES[:prefix] + tuple(extra))
-    result = certify_euclidean(fld, s, k_max)
+    result = certify_euclidean(fld, s)
+    assert result == _rebuild_per_k(fld, s)
+    q = s.smallest_missing_prime()
+    assert fld.D != 3 * q * q
+    assert isinstance(result, CoverCertificate) == (fld.D < 3 * q * q)
     if isinstance(result, CoverCertificate):
-        assert result == covers_unit(intervals(fld, s, result.k_max), d=d, s=s)
-        smaller = s.smooth_upto(result.k_max - 1)
-        if smaller:
-            assert isinstance(covers_unit(intervals(fld, s, smaller[-1]), d=d, s=s), Verdict)
+        k0 = theorem2_bound(fld) - 1
+        assert result.k_max == k0
+        assert s.smooth_upto(k0) == list(range(1, k0 + 1))
     else:
-        want = _rebuild_per_k(fld, s, k_max)
-        assert isinstance(want, Verdict)
-        assert (result.kind, result.reason) == (want.kind, want.reason)
-        assert result.certificate is None
+        assert result.kind == "unknown" and result.certificate is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,8 +469,8 @@ def test_no_cover_below_k0(d, prefix, extra):
 def test_theorem2_kmax_pinned():
     """The minimal k_max of every Theorem-2 cover for squarefree d <= 1000
     (S = all primes below theorem2_bound), as pinned for the benchmark;
-    each is the lemma's lower bound theorem2_bound - 1, as data, not as a
-    proof that the bound is always reached."""
+    each is theorem2_bound - 1, the minimal k_max that certify_euclidean
+    proves for every cover."""
     path = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
     pinned = json.loads(path.read_text())["theorem2_kmax"]
     ds = [d for d in range(1, 1001) if squarefree(d)]

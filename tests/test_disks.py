@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seuclid import disks
-from seuclid.covering import Residual, Verdict, residual
+from seuclid.covering import Residual, Verdict, certify_euclidean, replay_chain, residual, theorem2_bound
 from seuclid.disks import (
     MAX_REFINE,
     Disk,
@@ -504,3 +504,40 @@ def test_bundle_rejects_residual_gaps_whose_image_meets_another(monkeypatch):
         gaps = Residual(((SurdValue.rational(lo), SurdValue.rational(hi)),))
         monkeypatch.setattr(disks, "residual", lambda fld, s, k_max, gaps=gaps: gaps)
         assert verify_exceptional_bundle(bundle) is accepted
+
+
+def _theorem2_chain_disks(d, drop=None):
+    """The Theorem-2 cover chain of d (S = primes below theorem2_bound),
+    less its link `drop`, and its disks: link (j, k) stands for the
+    radius-1/k disks at (i + j*w)/k, -1 <= i <= k + 1, whose rows hold
+    the points of F with w-coordinate in I_j^k."""
+    fld = make_field(d)
+    s = SSet.from_iterable(primes_below(theorem2_bound(fld)))
+    chain = list(certify_euclidean(fld, s).chain)
+    if drop is not None:
+        del chain[drop]
+    disks = tuple(
+        Disk(KElement(i, j, k, fld), Fraction(1, k * k), False) for j, k in chain for i in range(-1, k + 2)
+    )
+    return fld, chain, DiskCertificate(d=d, s=s, disks=disks, subdivision_depth=10)
+
+
+@pytest.mark.parametrize("d", [d for d in range(1, 31) if squarefree(d)])
+def test_cover_chain_disks_cover_the_domain(d):
+    # the interval sweep and the disk-cell scan agree on a cover chain
+    _, _, cert = _theorem2_chain_disks(d)
+    assert find_uncovered_cell(cert) is None
+
+
+@pytest.mark.parametrize("d", [5, 10, 13])
+def test_rejected_chain_disks_leave_a_cell(d):
+    # each shortened chain that replay_chain rejects leaves a cell that no
+    # disk of its own holds
+    _, chain, _ = _theorem2_chain_disks(d)
+    rejected = 0
+    for i in range(len(chain)):
+        fld, short, cert = _theorem2_chain_disks(d, drop=i)
+        if not replay_chain(fld.D, short):
+            rejected += 1
+            assert find_uncovered_cell(cert) is not None, chain[i]
+    assert rejected
