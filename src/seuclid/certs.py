@@ -25,11 +25,11 @@ from .disks import (
     verify_disk_cert,
     verify_exceptional_bundle,
 )
-from .exact import SSet, SurdValue, s_part_strip
+from .exact import SSet, s_part_strip
 from .field import KElement, QuadField, make_field
 from .witness import CaseTag, WitnessCertificate, witness_bound
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "3.0"
 
 # Limits on the checker's work for one file.  A bundle's residual builds
 # all intervals with S-smooth k <= k_max (the built-ins use 64, 81 and
@@ -78,10 +78,15 @@ def _typed(value: Any, kind: type, name: str) -> Any:
 
 
 def _read_frac(obj: Any) -> Fraction:
+    """{num, den}: integer strings in canonical form, str(int(t)) == t,
+    with den >= 1."""
     try:
-        return Fraction(int(_typed(obj["num"], str, "num")), int(_typed(obj["den"], str, "den")))
+        num, den = int(_typed(obj["num"], str, "num")), int(_typed(obj["den"], str, "den"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateParseError(f"bad rational: {obj!r}") from exc
+    if str(num) != obj["num"] or str(den) != obj["den"] or den < 1:
+        raise CertificateParseError(f"bad rational: {obj!r}")
+    return Fraction(num, den)
 
 
 def _elem(x: KElement) -> dict[str, int]:
@@ -90,15 +95,6 @@ def _elem(x: KElement) -> dict[str, int]:
 
 def _read_elem(obj: Any, fld: QuadField) -> KElement:
     return KElement(*(_typed(obj[key], int, key) for key in "abc"), fld)
-
-
-def _surd(v: SurdValue) -> dict[str, Any]:
-    # the file keeps a + b*sqrt(m) with rational a, b
-    return {"a": _frac(Fraction(v.P, v.M)), "b": _frac(Fraction(v.Q, v.M)), "m": v.m}
-
-
-def _read_surd(obj: Any) -> SurdValue:
-    return _read_frac(obj["a"]) + _read_frac(obj["b"]) * SurdValue(P=0, Q=1, m=_typed(obj["m"], int, "m"))
 
 
 Certificate = CoverCertificate | DiskCertificate | WitnessCertificate | ExceptionalBundle
@@ -126,7 +122,7 @@ def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
             "payload": {
                 "subdivision_depth": cert.subdivision_depth,
                 "disks": [
-                    {**_elem(disk.center), "boosted": disk.boosted, "r_squared": _frac(disk.r_squared)}
+                    {**_elem(disk.center), "r_squared": _frac(disk.r_squared)}
                     for disk in cert.disks
                 ],
             },
@@ -167,14 +163,7 @@ def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
 def _piece_to_obj(piece: BoundPiece | PointPiece) -> dict[str, Any]:
     if isinstance(piece, PointPiece):
         return {"type": "point", "x": _frac(piece.x), "alpha": _elem(piece.alpha)}
-    return {
-        "type": "bound",
-        "alpha": _elem(piece.alpha),
-        "lo": _surd(piece.lo),
-        "hi": _surd(piece.hi),
-        "lo_closed": piece.lo_closed,
-        "hi_closed": piece.hi_closed,
-    }
+    return {"type": "bound", "alpha": _elem(piece.alpha)}
 
 
 def certificate_from_obj(obj: Any) -> Certificate:
@@ -200,12 +189,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
         fld = make_field(d)
         if kind == "disk":
             disks = tuple(
-                Disk(
-                    center=_read_elem(e, fld),
-                    r_squared=_read_frac(e["r_squared"]),
-                    boosted=_typed(e["boosted"], bool, "boosted"),
-                )
-                for e in payload["disks"]
+                Disk(center=_read_elem(e, fld), r_squared=_read_frac(e["r_squared"])) for e in payload["disks"]
             )
             depth = _typed(payload["subdivision_depth"], int, "subdivision_depth")
             return DiskCertificate(d=d, s=s, disks=disks, subdivision_depth=depth)
@@ -249,15 +233,11 @@ def _one_prime(kind: str, s: SSet) -> int:
 
 def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
     alpha = _read_elem(obj["alpha"], fld)
+    if obj["type"] == "bound":
+        return BoundPiece(alpha)
     if obj["type"] == "point":
         return PointPiece(x=_read_frac(obj["x"]), alpha=alpha)
-    return BoundPiece(
-        alpha=alpha,
-        lo=_read_surd(obj["lo"]),
-        hi=_read_surd(obj["hi"]),
-        lo_closed=_typed(obj["lo_closed"], bool, "lo_closed"),
-        hi_closed=_typed(obj["hi_closed"], bool, "hi_closed"),
-    )
+    raise CertificateParseError(f"unknown gap-line piece type: {obj['type']!r}")
 
 
 def verify_certificate_obj(obj: Any) -> bool:

@@ -3,13 +3,15 @@
 Disk covers of the fundamental domain with radii 1/c or sqrt(p)/c
 (radius boost under congruence conditions), verified by one exact scan
 of per-column corner ranges at every subdivision level, plus the
-symbolic gap-line verifier used for d = 10 and d = 15.
+gap-line verifier used for d = 10 and d = 15, which derives from each
+alpha the span of the line it covers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covering import Verdict, _sweep, residual
 from .exact import SSet, SurdValue, s_part_strip
@@ -49,7 +51,11 @@ class Disk:
 
     center: KElement
     r_squared: Fraction
-    boosted: bool
+
+    @property
+    def boosted(self) -> bool:
+        """Is the radius past 1/c, c the center's denominator?"""
+        return self.r_squared * self.center.c**2 > 1
 
 
 @dataclass(frozen=True)
@@ -183,34 +189,21 @@ def verify_disk_cert(cert: DiskCertificate) -> bool:
 
 @dataclass(frozen=True)
 class BoundPiece:
-    """One alpha for the points xi = x + y0*w on the gap line with x in
-    the claimed interval; the checker derives the bound on their S-norm
-    distance to alpha (see verify_gap_line)."""
+    """One alpha for the points xi = x + y0*w of the gap line that it
+    is near enough to; the checker derives which x those are, the span
+    where its bound on their S-norm distance to alpha is below 1 (see
+    verify_gap_line)."""
 
     alpha: KElement
-    lo: SurdValue
-    hi: SurdValue
-    lo_closed: bool
-    hi_closed: bool
 
 
 @dataclass(frozen=True)
 class PointPiece:
     """An explicit alpha for a single point x on the gap line, checked by
-    exact S-norm evaluation; it covers the closed degenerate interval
-    [x, x]."""
+    exact S-norm evaluation."""
 
     x: Fraction
     alpha: KElement
-
-    lo_closed = True
-    hi_closed = True
-
-    @property
-    def lo(self) -> SurdValue:
-        return SurdValue.rational(self.x)
-
-    hi = lo
 
 
 @dataclass(frozen=True)
@@ -220,12 +213,21 @@ class GapLineCert:
 
     Its pieces speak for the points whose x has a denominator coprime to
     S (the bundle's p-orbit check moves the others onto such points);
-    verify_gap_line derives each BoundPiece's bound from (field, S, y0,
-    alpha).
+    verify_gap_line derives each BoundPiece's bound and span from
+    (field, S, y0, alpha).
     """
 
     y0: Fraction
     pieces: tuple[BoundPiece | PointPiece, ...]
+
+
+class _Span(NamedTuple):
+    """Part of the gap line that one piece covers, as `_sweep` reads it."""
+
+    lo: SurdValue
+    hi: SurdValue
+    lo_closed: bool
+    hi_closed: bool
 
 
 def _line_point(fld: QuadField, x: Fraction, y0: Fraction) -> KElement:
@@ -249,9 +251,22 @@ def _piece_bound(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tupl
     return m, m * (h * tau - 2 * x0), m * (x0 * x0 - h * tau * x0 + e * tau * tau)
 
 
+def _piece_span(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tuple[SurdValue, SurdValue] | None:
+    """The open interval of x where the derived bound a2*x^2 + a1*x + a0
+    (_piece_bound) is below 1, between the roots (-a1 -/+ sqrt(disc))/(2*a2)
+    of bound = 1, disc = a1^2 - 4*a2*(a0 - 1); None when disc <= 0, as
+    the bound (a2 > 0) is then nowhere below 1."""
+    a2, a1, a0 = _piece_bound(fld, s, y0, alpha)
+    disc = a1 * a1 - 4 * a2 * (a0 - 1)
+    if disc <= 0:
+        return None
+    root = SurdValue(P=0, Q=1, m=disc.numerator * disc.denominator, M=disc.denominator)
+    return (-a1 - root) * (1 / (2 * a2)), (root - a1) * (1 / (2 * a2))
+
+
 def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
-    """Verify every piece, then check that the x-intervals and the point
-    checks cover [0, 1].
+    """Verify every piece, then check that the bound pieces' spans and
+    the point checks cover [0, 1].
 
     Every alpha must be an S-integer; point pieces get an exact S-norm.
     A bound piece's quadratic is derived, not read: with alpha =
@@ -261,35 +276,33 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
     least g's, so N_S <= m*N(x - a/c + (y0 - b/c)*w) with
     m = c^2 * s_part_strip(g, S)/g.  (Points whose x has a factor from
     S in its denominator are left to the bundle's p-orbit check.)  The
-    bound is convex, so it need only hold at the ends of the claimed
-    interval: below 1 at a closed end, at most 1 at an open one.
+    piece covers the open span where that bound is below 1
+    (_piece_span); a piece with an empty span fails the line.
     """
     if not cert.pieces:
         return False
-    radicands = {x.m for piece in cert.pieces for x in (piece.lo, piece.hi)} - {0}
-    m0 = min(radicands, default=0)
-    if any(math.isqrt(m0 * m) ** 2 != m0 * m for m in radicands):
-        return False  # the piece ends must share one radicand, up to a square, to compare
     if s_part_strip(cert.y0.denominator, s) != cert.y0.denominator:
         return False  # y0 denominator must be coprime to S
+    spans = []
     for piece in cert.pieces:
         if s_part_strip(piece.alpha.c, s) != 1:
             return False  # alpha must be an S-integer
         if isinstance(piece, PointPiece):
-            xi = _line_point(fld, piece.x, cert.y0)
-            if s_norm(xi - piece.alpha, s) >= 1:
+            if s_norm(_line_point(fld, piece.x, cert.y0) - piece.alpha, s) >= 1:
                 return False
+            x = SurdValue.rational(piece.x)
+            spans.append(_Span(x, x, True, True))
             continue
-        if not piece.lo < piece.hi:
+        span = _piece_span(fld, s, cert.y0, piece.alpha)
+        if span is None:
             return False
-        a2, a1, a0 = _piece_bound(fld, s, cert.y0, piece.alpha)
-        for x, closed in ((piece.lo, piece.lo_closed), (piece.hi, piece.hi_closed)):
-            bound = x * x * a2 + x * a1 + a0
-            if bound > 1 or (bound == 1 and closed):
-                return False
+        spans.append(_Span(*span, False, False))
+    radicands = {x.m for span in spans for x in (span.lo, span.hi)} - {0}
+    m0 = min(radicands, default=0)
+    if any(math.isqrt(m0 * m) ** 2 != m0 * m for m in radicands):
+        return False  # the span ends must share one radicand, up to a square, to compare
     # in order of left end, closed before open on ties
-    pieces = sorted(cert.pieces, key=lambda piece: (piece.lo, not piece.lo_closed))
-    return not _sweep(pieces)
+    return not _sweep(sorted(spans, key=lambda span: (span.lo, not span.lo_closed)))
 
 
 # --- built-in certificates -------------------------------------------------
@@ -342,8 +355,7 @@ def table_disk_certificate(p: int, subdivision_depth: int = 125) -> DiskCertific
     for rows in table_disk_centers(p).values():
         for a, b, c in rows:
             alpha = KElement(a, b, c, fld)
-            r2 = boost_radius(fld, s, alpha)
-            disks.append(Disk(center=alpha, r_squared=r2, boosted=r2 > Fraction(1, alpha.c**2)))
+            disks.append(Disk(center=alpha, r_squared=boost_radius(fld, s, alpha)))
     return DiskCertificate(d=35, s=s, disks=tuple(disks), subdivision_depth=subdivision_depth)
 
 
@@ -354,47 +366,25 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
     if (d, p) == (10, 2):
         # line y = 1/3; for x = r/s with s odd the S-norms are exactly
         # 2x^2+5/9 (alpha=w/2), 2(1-x)^2+5/9 (alpha=(2+w)/2) and
-        # 8(x-1/2)^2+5/9 (alpha=(2+w)/4), the bounds _piece_bound derives
-        root2_3 = SurdValue(P=0, Q=1, m=2, M=3)  # sqrt(2)/3
-        root2_6 = SurdValue(P=0, Q=1, m=2, M=6)  # sqrt(2)/6
-        zero, one = SurdValue.rational(0), SurdValue.rational(1)
+        # 8(x-1/2)^2+5/9 (alpha=(2+w)/4), the bounds _piece_bound derives;
+        # they are below 1 on |x| < sqrt(2)/3, |x - 1| < sqrt(2)/3 and
+        # |x - 1/2| < sqrt(2)/6
         return GapLineCert(
             y0=Fraction(1, 3),
-            pieces=(
-                BoundPiece(
-                    alpha=KElement(0, 1, 2, fld),
-                    lo=zero, hi=root2_3, lo_closed=True, hi_closed=False,
-                ),
-                BoundPiece(
-                    alpha=KElement(2, 1, 2, fld),
-                    lo=one - root2_3, hi=one, lo_closed=False, hi_closed=True,
-                ),
-                BoundPiece(
-                    alpha=KElement(2, 1, 4, fld),
-                    lo=half - root2_6, hi=half + root2_6,
-                    lo_closed=False, hi_closed=False,
-                ),
-            ),
+            pieces=tuple(BoundPiece(KElement(a, 1, c, fld)) for a, c in ((0, 2), (2, 2), (2, 4))),
         )
     if d == 15 and p in (3, 5):
         # line y = 1/2; N(x + w/2 - w) = (x-1/4)^2 + 15/16 and
-        # N(x + w/2 - 1) = (x-3/4)^2 + 15/16; the three line points with
-        # bound exactly 1 get explicit alphas with S-norm 1/2
+        # N(x + w/2 - 1) = (x-3/4)^2 + 15/16, below 1 on (0, 1/2) and
+        # (1/2, 1); the three line points with bound exactly 1 get
+        # explicit alphas with S-norm 1/2
         point_alphas = {3: (1, 0, 2), 5: (-1, 2, 0)}[p]
         a_at_0, a_at_half, a_at_1 = point_alphas
         return GapLineCert(
             y0=half,
             pieces=(
-                BoundPiece(
-                    alpha=KElement(0, 1, 1, fld),
-                    lo=SurdValue.rational(0), hi=SurdValue.rational(half),
-                    lo_closed=False, hi_closed=False,
-                ),
-                BoundPiece(
-                    alpha=KElement(1, 0, 1, fld),
-                    lo=SurdValue.rational(half), hi=SurdValue.rational(1),
-                    lo_closed=False, hi_closed=False,
-                ),
+                BoundPiece(KElement(0, 1, 1, fld)),
+                BoundPiece(KElement(1, 0, 1, fld)),
                 PointPiece(x=Fraction(0), alpha=fld.element(a_at_0)),
                 PointPiece(x=half, alpha=fld.element(a_at_half)),
                 PointPiece(x=Fraction(1), alpha=fld.element(a_at_1)),

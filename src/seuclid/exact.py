@@ -9,11 +9,9 @@ certification path.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -107,25 +105,9 @@ class SSet:
         """True iff n is a product of primes in S (1 is always smooth)."""
         return s_part_strip(n, self) == 1
 
-    def smooth(self) -> Iterator[int]:
-        """The S-smooth positive integers in ascending order, lazily; endless
-        unless S is empty.
-
-        Each n is pushed once, as m*p with p its smallest prime factor:
-        from m only the primes up to m's own smallest one are tried.
-        """
-        heap = [1]
-        while heap:
-            n = heapq.heappop(heap)
-            yield n
-            for p in self.primes:
-                heapq.heappush(heap, n * p)
-                if n % p == 0:
-                    break
-
     def smooth_upto(self, limit: int) -> list[int]:
         """All S-smooth positive integers <= limit, sorted ascending."""
-        return list(takewhile(lambda n: n <= limit, self.smooth()))
+        return [n for n in range(1, limit + 1) if self.is_smooth(n)]
 
     def smallest_missing_prime(self) -> int:
         q = 2

@@ -17,7 +17,13 @@ from seuclid.certs import (
     verify_certificate_obj,
 )
 from seuclid.covering import certify_euclidean, intervals, residual, theorem2_bound
-from seuclid.disks import certify_exceptional, find_uncovered_cell, table_disk_certificate
+from seuclid.disks import (
+    _piece_span,
+    certify_exceptional,
+    find_uncovered_cell,
+    gap_line_certificate,
+    table_disk_certificate,
+)
 from seuclid.exact import SSet, primes_below, squarefree
 from seuclid.field import make_field
 from seuclid.witness import certify_non_euclidean
@@ -69,9 +75,8 @@ def test_verify_rejects_false_k_max():
 
 # sha256 over the canonical JSON (one line each) of the Theorem-2 cover
 # certificates for squarefree d <= 300 and the three gap-line bundles;
-# schema 2.0: the 1.0 objects with schema_version "2.0" and without the
-# bundle's "gaps" and its pieces' "a2"/"a1"/"a0"
-PINNED_DIGEST = "eb3cb772095eb88937ec5b7c80d8aa05357f93632c4c04364d6853aabafee8a4"
+# schema 3.0: a bound piece is only {type, alpha}
+PINNED_DIGEST = "31fe72fe91ddf5eb16aa51532c08d18daecaae8ef5b4f3dac5ac0579e1650b7e"
 
 
 def test_certificate_bytes_pinned():
@@ -89,8 +94,9 @@ def test_certificate_bytes_pinned():
 
 
 # sha256 over the canonical JSON (one line each) of all 1824 Theorem-2
-# cover certificates for squarefree d <= 3000, schema 2.0
-PINNED_THEOREM2_DIGEST = "5a70809752733d29259ad11e507250f36c6719866851a2b5b33a120a5c1b1bc2"
+# cover certificates for squarefree d <= 3000, schema 3.0 (the 2.0 bytes
+# but for the version string)
+PINNED_THEOREM2_DIGEST = "8a419906965e27423886b20380c014ce80b3f0b4bbcd79ced93ae596b6e805c8"
 
 
 def test_theorem2_bytes_pinned_to_3000():
@@ -126,10 +132,10 @@ def test_verify_rejects_zero_gap_line(d, p):
 
 def test_bundle_payload_keys():
     obj = certificate_to_obj(certify_exceptional(10, 2))
-    assert obj["schema_version"] == "2.0"
+    assert obj["schema_version"] == "3.0"
     assert set(obj["payload"]) == {"k_max", "gap_rationals", "gap_lines"}
-    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
-    assert set(piece) == {"type", "alpha", "lo", "hi", "lo_closed", "hi_closed"}
+    for piece in obj["payload"]["gap_lines"][0]["pieces"]:
+        assert set(piece) == {"type", "alpha"}
 
 
 def test_schema_1_0_bundle_still_verifies():
@@ -161,6 +167,48 @@ def test_schema_1_0_bundle_still_verifies():
     assert verify_certificate_obj(obj)
 
 
+# the canonical objects that schema 2.0 wrote for the (10, 2) bundle,
+# with each bound piece's claimed ends and flags, and for the depth-125
+# (35, 5) disk cover, with each disk's `boosted` flag
+SCHEMA_2_0_BUNDLE_10_2 = (
+    '{"d":10,"kind":"exceptional-bundle","payload":{"gap_lines":[{"pieces":[{"alpha":{"a":0,'
+    '"b":1,"c":2},"hi":{"a":{"den":"1","num":"0"},"b":{"den":"3","num":"1"},"m":2},'
+    '"hi_closed":false,"lo":{"a":{"den":"1","num":"0"},"b":{"den":"1","num":"0"},"m":0},'
+    '"lo_closed":true,"type":"bound"},{"alpha":{"a":2,"b":1,"c":2},"hi":{"a":{"den":"1",'
+    '"num":"1"},"b":{"den":"1","num":"0"},"m":0},"hi_closed":true,"lo":{"a":{"den":"1",'
+    '"num":"1"},"b":{"den":"3","num":"-1"},"m":2},"lo_closed":false,"type":"bound"},'
+    '{"alpha":{"a":2,"b":1,"c":4},"hi":{"a":{"den":"2","num":"1"},"b":{"den":"6","num":"1"},'
+    '"m":2},"hi_closed":false,"lo":{"a":{"den":"2","num":"1"},"b":{"den":"6","num":"-1"},"m":2},'
+    '"lo_closed":false,"type":"bound"}],"y0":{"den":"3","num":"1"}}],"gap_rationals":[{"den":"3",'
+    '"num":"1"},{"den":"3","num":"2"}],"k_max":64},"s":[2],"schema_version":"2.0"}'
+)
+SCHEMA_2_0_DISK_35_5 = (
+    '{"d":35,"kind":"disk","payload":{"disks":[{"a":0,"b":0,"boosted":false,"c":1,'
+    '"r_squared":{"den":"1","num":"1"}},{"a":1,"b":0,"boosted":false,"c":1,'
+    '"r_squared":{"den":"1","num":"1"}},{"a":0,"b":1,"boosted":false,"c":1,'
+    '"r_squared":{"den":"1","num":"1"}},{"a":1,"b":1,"boosted":false,"c":1,'
+    '"r_squared":{"den":"1","num":"1"}},{"a":1,"b":2,"boosted":false,"c":5,'
+    '"r_squared":{"den":"25","num":"1"}},{"a":2,"b":2,"boosted":false,"c":5,'
+    '"r_squared":{"den":"25","num":"1"}},{"a":3,"b":3,"boosted":false,"c":5,'
+    '"r_squared":{"den":"25","num":"1"}},{"a":4,"b":3,"boosted":false,"c":5,'
+    '"r_squared":{"den":"25","num":"1"}},{"a":2,"b":1,"boosted":true,"c":5,'
+    '"r_squared":{"den":"5","num":"1"}},{"a":-1,"b":2,"boosted":true,"c":5,'
+    '"r_squared":{"den":"5","num":"1"}},{"a":6,"b":3,"boosted":true,"c":5,"r_squared":{"den":"5",'
+    '"num":"1"}},{"a":3,"b":4,"boosted":true,"c":5,"r_squared":{"den":"5","num":"1"}},{"a":4,'
+    '"b":2,"boosted":true,"c":5,"r_squared":{"den":"5","num":"1"}},{"a":1,"b":3,"boosted":true,'
+    '"c":5,"r_squared":{"den":"5","num":"1"}}],"subdivision_depth":125},"s":[5],'
+    '"schema_version":"2.0"}'
+)
+
+
+@pytest.mark.parametrize("text", [SCHEMA_2_0_BUNDLE_10_2, SCHEMA_2_0_DISK_35_5])
+def test_schema_2_0_files_still_verify(text):
+    """The keys that 3.0 dropped are ignored, not trusted."""
+    obj = json.loads(text)
+    assert obj["schema_version"] == "2.0"
+    assert verify_certificate_obj(obj) is True
+
+
 def test_verify_rejects_bundle_alpha_outside_o_s():
     obj = certificate_to_obj(certify_exceptional(10, 2))
     obj["payload"]["gap_lines"][0]["pieces"][0]["alpha"] = {"a": 0, "b": 1, "c": 3}
@@ -174,24 +222,26 @@ def test_verify_rejects_nonpositive_bundle_k_max(k_max):
     assert verify_certificate_obj(obj) is False
 
 
+def _bound_piece(a, b, c):
+    return {"type": "bound", "alpha": {"a": a, "b": b, "c": c}}
+
+
 def test_verify_rejects_piece_with_another_radicand():
-    # the (10, 2) line's ends use sqrt(2); an end in sqrt(3) cannot be compared
+    # on the line y0 = 1/5 of d = 10 the span of alpha = -2 has ends in
+    # sqrt(15) and that of (-8 + w)/4 ends in sqrt(10): they cannot be compared
     obj = certificate_to_obj(certify_exceptional(10, 2))
-    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
-    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "10"}, "m": 3}
+    line = {"y0": {"num": "1", "den": "5"}, "pieces": [_bound_piece(-2, 0, 1), _bound_piece(-8, 1, 4)]}
+    obj["payload"]["gap_lines"].append(line)
     assert verify_certificate_obj(obj) is False
 
 
 def test_verify_accepts_radicand_equal_up_to_a_square():
-    # sqrt(8)/6 is the produced sqrt(2)/3, written over another radicand
-    obj = certificate_to_obj(certify_exceptional(10, 2))
-    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
-    assert piece["hi"] == {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "3"}, "m": 2}
-    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "6"}, "m": 8}
-    assert verify_certificate_obj(obj) is True
-    # sqrt(8)/3 is another number, past the point where the bound reaches 1
-    piece["hi"]["b"] = {"num": "1", "den": "3"}
-    assert verify_certificate_obj(obj) is False
+    # the derived ends of the (10, 2) pieces are sqrt(288)/36 = sqrt(2)/3,
+    # 1 -/+ sqrt(288)/36 and 1/2 -/+ sqrt(1152)/144 = 1/2 -/+ sqrt(2)/6
+    fld, s, cert = make_field(10), SSet.of(2), gap_line_certificate(10, 2)
+    radicands = [_piece_span(fld, s, cert.y0, piece.alpha)[0].m for piece in cert.pieces]
+    assert radicands == [288, 288, 1152]
+    assert verify_certificate_obj(certificate_to_obj(certify_exceptional(10, 2))) is True
 
 
 @pytest.mark.parametrize("depth", [0, -5])
@@ -218,10 +268,13 @@ def test_verify_rejects_non_smooth_interval():
 
 def test_verify_rejects_inflated_disk_radius():
     obj = certificate_to_obj(table_disk_certificate(5, subdivision_depth=40))
+    # a plain disk at c = 5 claims the boosted radius sqrt(5)/5
     for entry in obj["payload"]["disks"]:
-        if not entry["boosted"]:
+        if entry["c"] == 5 and entry["r_squared"] == {"num": "1", "den": "25"}:
             entry["r_squared"] = {"num": "1", "den": "5"}
             break
+    else:
+        pytest.fail("no plain disk at c = 5")
     assert not verify_certificate_obj(obj)
 
 

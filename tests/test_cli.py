@@ -1,7 +1,9 @@
 """Command-line behavior: verdicts, exit codes, certificate files, rendering."""
+import copy
 import dataclasses
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -136,11 +138,12 @@ def test_verify_bad_bundle_exit_3(tmp_path, capsys):
 
 
 def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
+    # on the line y0 = 1/5 the span of alpha = -2 has ends in sqrt(15),
+    # that of (-8 + w)/4 ends in sqrt(10): no exact order, so exit 3
     path = tmp_path / "c.json"
     assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
     obj = json.loads(path.read_text())
-    piece = obj["payload"]["gap_lines"][0]["pieces"][0]
-    piece["hi"] = {"a": {"num": "0", "den": "1"}, "b": {"num": "1", "den": "10"}, "m": 3}
+    obj["payload"]["gap_lines"].append(_MIXED_RADICAND_LINE)
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 3
@@ -169,28 +172,72 @@ def _verify_forgery(argv, mutate, code, tmp_path, capsys):
         assert captured.err == ""
 
 
-_HALF = {"num": "1", "den": "2"}
-_NIL = {"num": "0", "den": "1"}
+def _bound_piece(a, b, c):
+    return {"type": "bound", "alpha": {"a": a, "b": b, "c": c}}
 
-# mutations of the first bound piece of the (10, 2) bundle, alpha = w/2 on
-# [0, sqrt(2)/3), and the exit code each gets from `seuclid verify`
+
+_MIXED_RADICAND_LINE = {"y0": {"num": "1", "den": "5"}, "pieces": [_bound_piece(-2, 0, 1), _bound_piece(-8, 1, 4)]}
+
+
+def _rational(q):
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
+def _surd(a, b, m):
+    return {"a": _rational(Fraction(a)), "b": _rational(Fraction(b)), "m": m}
+
+
+# the first piece as schema 2.0 wrote it, alpha = w/2 claimed on
+# [0, sqrt(2)/3); 3.0 derives the span and ignores these keys
+_PIECE_2_0_KEYS = {
+    "lo": _surd(0, 0, 0), "hi": _surd(0, Fraction(1, 3), 2), "lo_closed": True, "hi_closed": False,
+}
+
+
+def _first_piece(mutate):
+    """The 2.0 keys added back to the first piece, then mutated."""
+    def forge(lines):
+        piece = lines[0]["pieces"][0]
+        piece.update(copy.deepcopy(_PIECE_2_0_KEYS))
+        mutate(piece)
+    return forge
+
+
+def _set_first(key, value):
+    return lambda lines: lines[0]["pieces"][0].update({key: value})
+
+
+# mutations of the gap lines of the (10, 2) bundle, one line y0 = 1/3
+# with bound pieces w/2, (2 + w)/2 and (2 + w)/4, and the exit code each
+# gets from `seuclid verify`; the rows with claimed ends and flags added
+# back verify, as the checker derives each piece's span
 BUNDLE_PIECE_FORGERIES = [
-    ("lo.m = -2", lambda pc: pc["lo"].update(m=-2), 1),
-    ("hi.m = 3", lambda pc: pc["hi"].update(m=3), 3),
-    ("hi.b.den = 0", lambda pc: pc["hi"]["b"].update(den="0"), 1),
-    ("hi.m = x", lambda pc: pc["hi"].update(m="x"), 1),
-    ("lo := hi", lambda pc: pc.update(lo=dict(pc["hi"])), 3),
-    ("hi_closed := true", lambda pc: pc.update(hi_closed=True), 3),
-    ("hi.b = 2/3", lambda pc: pc["hi"].update(b={"num": "2", "den": "3"}), 3),
-    ("hi missing", lambda pc: pc.pop("hi"), 1),
-    ("lo = 1/2, m = 2, b = 0", lambda pc: pc.update(lo={"a": _HALF, "b": _NIL, "m": 2}), 3),
+    ("unchanged", lambda lines: None, 0),
+    ("alpha c = 3", _set_first("alpha", {"a": 0, "b": 1, "c": 3}), 3),
+    ("alpha = 0", _set_first("alpha", {"a": 0, "b": 0, "c": 1}), 3),
+    ("middle piece dropped", lambda lines: lines[0]["pieces"].pop(1), 3),
+    ("extra piece (1 + w)/2, empty span", lambda lines: lines[0]["pieces"].append(_bound_piece(1, 1, 2)), 3),
+    ("extra line y0 = 1/5, spans in sqrt(15) and sqrt(10)", lambda lines: lines.append(_MIXED_RADICAND_LINE), 3),
+    ("alpha a = x", lambda lines: lines[0]["pieces"][0]["alpha"].update(a="x"), 1),
+    ("alpha missing", lambda lines: lines[0]["pieces"][0].pop("alpha"), 1),
+    *((f"type = {kind!r}", _set_first("type", kind), 1) for kind in ("bogus", 7, None, "Bound")),
+    ("lo.m = -2", _first_piece(lambda pc: pc["lo"].update(m=-2)), 0),
+    ("hi.m = 3", _first_piece(lambda pc: pc["hi"].update(m=3)), 0),
+    ("hi.b.den = 0", _first_piece(lambda pc: pc["hi"]["b"].update(den="0")), 0),
+    ("hi.m = x", _first_piece(lambda pc: pc["hi"].update(m="x")), 0),
+    ("lo := hi", _first_piece(lambda pc: pc.update(lo=dict(pc["hi"]))), 0),
+    ("hi_closed := true", _first_piece(lambda pc: pc.update(hi_closed=True)), 0),
+    ("hi.b = 2/3", _first_piece(lambda pc: pc["hi"].update(b=_rational(Fraction(2, 3)))), 0),
+    ("hi missing", _first_piece(lambda pc: pc.pop("hi")), 0),
+    ("lo = 1/2, m = 2, b = 0", _first_piece(lambda pc: pc.update(lo=_surd(Fraction(1, 2), 0, 2))), 0),
 ]
 
 
 @pytest.mark.parametrize("mutate, code", [f[1:] for f in BUNDLE_PIECE_FORGERIES], ids=[f[0] for f in BUNDLE_PIECE_FORGERIES])
 def test_verify_bundle_piece_forgeries(mutate, code, tmp_path, capsys):
     def forge(obj):
-        mutate(obj["payload"]["gap_lines"][0]["pieces"][0])
+        assert obj["kind"] == "exceptional-bundle" and len(obj["payload"]["gap_lines"]) == 1
+        mutate(obj["payload"]["gap_lines"])
 
     _verify_forgery(["10", "--s", "2"], forge, code, tmp_path, capsys)
 
@@ -204,13 +251,15 @@ def _disk_a_plus_one(i):
 
 
 def _flip_boosted(payload):
+    """Add back schema 2.0's `boosted` flag, each one wrong."""
     for disk in payload["disks"]:
-        disk["boosted"] = not disk["boosted"]
+        r_squared = Fraction(int(disk["r_squared"]["num"]), int(disk["r_squared"]["den"]))
+        disk["boosted"] = r_squared * disk["c"] ** 2 <= 1
 
 
 # mutations of the depth-125 (35, 7) disk cover and the exit code each
 # gets from `seuclid verify`; the checker derives each radius bound
-# itself, so flipped `boosted` flags still verify
+# itself and reads no `boosted` flag, so wrong ones still verify
 DISK_FORGERIES = [
     *((f"disk {i} a + 1", _disk_a_plus_one(i), 3) for i in (4, 5, 8, 12, 16)),
     ("disk 5 r_squared = 2/49", _disk_field(5, "r_squared", {"num": "2", "den": "49"}), 3),
@@ -274,7 +323,8 @@ def test_verify_cover_forgeries(mutate, code, tmp_path, capsys):
 
 
 # one-field mutations of the (5, 11) witness, xi0 = (1 + w)/2 with bound
-# 3/2 (case OddInert23), and the exit code each gets from `seuclid verify`
+# 3/2 (case OddInert23), and the exit code each gets from `seuclid verify`;
+# `num` and `den` must be canonical integer strings, den >= 1
 WITNESS_FORGERIES = [
     ("unchanged", lambda obj: None, 0),
     ("d = 5.0", _set("d", value=5.0), 1),
@@ -290,6 +340,14 @@ WITNESS_FORGERIES = [
     ("xi0.a = 1.0", _set("payload", "xi0", "a", value=1.0), 1),
     ("xi0.c = true", _set("payload", "xi0", "c", value=True), 1),
     ("xi0.b = 3", _set("payload", "xi0", "b", value=3), 3),
+    *(
+        (f"bound.num = {num!r}", _set("payload", "bound", "num", value=num), 1)
+        for num in (" 3", "+3", "0_3", "\uff13", "03", "3 ")
+    ),
+    *(
+        (f"bound.den = {den!r}", _set("payload", "bound", "den", value=den), 1)
+        for den in ("02", "-2")
+    ),
 ]
 
 

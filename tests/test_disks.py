@@ -12,6 +12,7 @@ from seuclid import disks
 from seuclid.covering import Residual, Verdict, certify_euclidean, replay_chain, residual, theorem2_bound
 from seuclid.disks import (
     MAX_REFINE,
+    BoundPiece,
     Disk,
     DiskCertificate,
     ExceptionalBundle,
@@ -22,6 +23,7 @@ from seuclid.disks import (
     _orbit_keeps_gaps_apart,
     _line_point,
     _piece_bound,
+    _piece_span,
     boost_radius,
     certify_exceptional,
     find_uncovered_cell,
@@ -85,7 +87,7 @@ def test_table_radius_partition():
 
 def test_unit_disks_alone_do_not_cover():
     disks = tuple(
-        Disk(center=KElement(a, b, 1, F35), r_squared=Fraction(1), boosted=False)
+        Disk(center=KElement(a, b, 1, F35), r_squared=Fraction(1))
         for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))
     )
     cert = DiskCertificate(d=35, s=S5, disks=disks, subdivision_depth=20)
@@ -200,7 +202,7 @@ def _disk_certs(draw):
     if draw(st.booleans()):
         # unit disks at the corners of F leave holes for the others to fill
         disks += [
-            Disk(center=KElement(a, b, 1, fld), r_squared=Fraction(1), boosted=False) for a in (0, 1) for b in (0, 1)
+            Disk(center=KElement(a, b, 1, fld), r_squared=Fraction(1)) for a in (0, 1) for b in (0, 1)
         ]
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         c = draw(st.integers(min_value=1, max_value=8))
@@ -208,7 +210,7 @@ def _disk_certs(draw):
         coord = st.integers(min_value=-3 * c, max_value=4 * c)
         center = KElement(draw(coord), draw(coord), c, fld)
         r_squared = Fraction(draw(st.integers(min_value=0, max_value=40)), draw(st.integers(min_value=1, max_value=80)))
-        disks.append(Disk(center=center, r_squared=r_squared, boosted=False))
+        disks.append(Disk(center=center, r_squared=r_squared))
     depth = draw(st.integers(min_value=1, max_value=30))
     return DiskCertificate(d=fld.d, s=SSet.of(2), disks=tuple(draw(st.permutations(disks))), subdivision_depth=depth)
 
@@ -248,7 +250,7 @@ def test_outside_cells_of_a_window(cert, data):
 
 def test_verify_monotone_in_disks():
     cert = table_disk_certificate(5, subdivision_depth=40)
-    extra = Disk(center=KElement(0, 0, 1, F35), r_squared=Fraction(1, 4), boosted=False)
+    extra = Disk(center=KElement(0, 0, 1, F35), r_squared=Fraction(1, 4))
     bigger = DiskCertificate(
         d=35, s=S5, disks=cert.disks + (extra,), subdivision_depth=40
     )
@@ -259,7 +261,7 @@ def test_verify_monotone_in_disks():
 def test_corner_soundness():
     """Random points inside a corner-verified cell are inside the disk."""
     rng = random.Random(7)
-    disk = Disk(center=KElement(2, 1, 5, F35), r_squared=Fraction(1, 5), boosted=True)
+    disk = Disk(center=KElement(2, 1, 5, F35), r_squared=Fraction(1, 5))
     n = 50
     fld = F35
     cells = [
@@ -319,13 +321,12 @@ def test_gap_line_rejects_missing_point_piece(x):
 
 
 def test_gap_line_ignores_pieces_beyond_one():
-    # a valid convex piece on (11/10, 6/5), past the end of [0, 1]
+    # alpha = (4 + w)/2 covers |x - 2| < sqrt(2)/3, past the end of [0, 1]
+    fld = make_field(10)
     cert = gap_line_certificate(10, 2)
-    beyond = replace(
-        cert.pieces[1],
-        lo=SurdValue.rational(Fraction(11, 10)), hi=SurdValue.rational(Fraction(6, 5)), lo_closed=False, hi_closed=False,
-    )
-    assert verify_gap_line(make_field(10), SSet.of(2), replace(cert, pieces=cert.pieces + (beyond,)))
+    beyond = BoundPiece(KElement(4, 1, 2, fld))
+    assert _piece_span(fld, SSet.of(2), cert.y0, beyond.alpha)[0] > 1
+    assert verify_gap_line(fld, SSet.of(2), replace(cert, pieces=cert.pieces + (beyond,)))
 
 
 # the paper's bounds: 2x^2+5/9, 2(1-x)^2+5/9, 8(x-1/2)^2+5/9 for (10, 2),
@@ -385,6 +386,24 @@ def _bound_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_bound_cases())
+def test_piece_span_is_where_the_bound_is_below_one(case):
+    """No span iff the bound's minimum is at least 1; else the bound is
+    exactly 1 at both ends and below 1 at the midpoint."""
+    fld, s, y0, alpha, _ = case
+    a2, a1, a0 = _piece_bound(fld, s, y0, alpha)
+    span = _piece_span(fld, s, y0, alpha)
+    assert (span is None) == (a0 - a1 * a1 / (4 * a2) >= 1)
+    if span is not None:
+        lo, hi = span
+        assert lo < hi
+        for x in (lo, hi):
+            assert x * x * a2 + x * a1 + a0 == 1
+        mid = -a1 / (2 * a2)
+        assert (lo + hi) * Fraction(1, 2) == mid and mid * mid * a2 + mid * a1 + a0 < 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bound_cases())
 def test_derived_bound_is_sound(case):
     """N_S(x + y0*w - alpha) never exceeds the derived quadratic at x
     when the denominators of x and y0 are coprime to S."""
@@ -426,16 +445,19 @@ def test_gap_line_point_checks_are_tight():
 
 
 def test_gap_line_rejects_tampering():
-    from dataclasses import replace
-
     fld = make_field(10)
     s = SSet.of(2)
     cert = gap_line_certificate(10, 2)
     assert not verify_gap_line(fld, s, replace(cert, pieces=()))
-    # shrink one interval so coverage breaks
-    first = cert.pieces[0]
-    shrunk = replace(first, hi=first.hi * Fraction(1, 2))
-    assert not verify_gap_line(fld, s, replace(cert, pieces=(shrunk,) + cert.pieces[1:]))
+    # without the middle piece, (sqrt(2)/3, 1 - sqrt(2)/3) is uncovered
+    assert not verify_gap_line(fld, s, replace(cert, pieces=cert.pieces[::2]))
+    # alpha = (4 + w)/2 in place of w/2 leaves x = 0 uncovered
+    moved = BoundPiece(KElement(4, 1, 2, fld))
+    assert not verify_gap_line(fld, s, replace(cert, pieces=(moved,) + cert.pieces[1:]))
+    # a piece whose bound is nowhere below 1 (the span of (1 + w)/2 is empty)
+    empty = BoundPiece(KElement(1, 1, 2, fld))
+    assert _piece_span(fld, s, cert.y0, empty.alpha) is None
+    assert not verify_gap_line(fld, s, replace(cert, pieces=cert.pieces + (empty,)))
     # y0 with denominator sharing a factor with S
     assert not verify_gap_line(fld, s, replace(cert, y0=Fraction(1, 2)))
 
@@ -517,7 +539,7 @@ def _theorem2_chain_disks(d, drop=None):
     if drop is not None:
         del chain[drop]
     disks = tuple(
-        Disk(KElement(i, j, k, fld), Fraction(1, k * k), False) for j, k in chain for i in range(-1, k + 2)
+        Disk(KElement(i, j, k, fld), Fraction(1, k * k)) for j, k in chain for i in range(-1, k + 2)
     )
     return fld, chain, DiskCertificate(d=d, s=s, disks=disks, subdivision_depth=10)
 
