@@ -3,8 +3,9 @@
 Disks of radius 1/k centered at the S-integer points (i + j*w)/k project
 to open intervals I_j^k = ((j - sqrt(3/D))/k, (j + sqrt(3/D))/k) on the
 y-axis of the fundamental domain.  If those intervals cover [0, 1], the
-field is S-norm-Euclidean.  All comparisons are exact surd arithmetic;
-the resulting chain is a replayable certificate.
+field is S-norm-Euclidean.  All comparisons are exact: integer endpoint
+keys order the family, and the resulting chain is a certificate that
+`replay_chain` re-checks by integer sign tests on (j, k, D).
 """
 from seuclid import SSet, certify_euclidean, intervals, make_field, theorem2_bound
 from seuclid.covering import replay_chain
@@ -19,7 +20,7 @@ for iv in ivs:
 cert = certify_euclidean(fld, s)
 print(f"\ncover found, minimal k_max = {cert.k_max}")
 print(f"chain: {cert.chain}")
-print(f"independent replay: {replay_chain(fld.D, list(cert.chain))}")
+print(f"independent replay: {replay_chain(fld.D, cert.chain)}")
 
 # sufficiency: taking S = all primes below this bound always works
 for d in (5, 67, 163):

@@ -33,12 +33,16 @@ SCHEMA_VERSION = "3.0"
 
 # Limits on the checker's work for one file.  A bundle's residual builds
 # all intervals with S-smooth k <= k_max (the built-ins use 64, 81 and
-# 125), a disk scan computes one corner range per disk in each of its
-# depth + 1 columns (the built-ins use 14 and 20 disks, the benchmark
-# files depth 500), and a bundle's gap lines check and sort their pieces
-# (the built-ins have at most 5 in all); a file past any limit is
-# rejected before any of that work.  A d or prime of s over MAX_D is a
-# parse error before the trial divisions of `squarefree` and `is_prime`.
+# 125); each link of a cover chain must raise the reach, so the chain
+# holds each interval with k <= k_max at most once, and that k_max has
+# the same cap (a Theorem-2 cover has k_max = k0 <= 1154 for
+# d <= MAX_D); a disk scan computes one corner range per disk in each
+# of its depth + 1 columns (the built-ins use 14 and 20 disks, the
+# benchmark files depth 500), and a bundle's gap lines check and sort
+# their pieces (the built-ins have at most 5 in all); a file past any
+# limit is rejected before any of that work.  A d or prime of s over
+# MAX_D is a parse error before the trial divisions of `squarefree` and
+# `is_prime`.
 MAX_BUNDLE_K_MAX = 4096
 MAX_SUBDIVISION_DEPTH = 1000
 MAX_DISKS = 256
@@ -242,19 +246,23 @@ def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
 
 def verify_certificate_obj(obj: Any) -> bool:
     """Re-run the appropriate verifier from file contents alone; a file
-    past a work limit (bundle `k_max` over MAX_BUNDLE_K_MAX, more than
-    MAX_GAP_LINE_PIECES pieces over all gap lines, `subdivision_depth`
-    over MAX_SUBDIVISION_DEPTH, more than MAX_DISKS disks) fails at
-    once."""
+    past a work limit (cover or bundle `k_max` over MAX_BUNDLE_K_MAX,
+    more than MAX_GAP_LINE_PIECES pieces over all gap lines,
+    `subdivision_depth` over MAX_SUBDIVISION_DEPTH, more than MAX_DISKS
+    disks) fails at once."""
     cert = certificate_from_obj(obj)
     if isinstance(cert, CoverCertificate):
+        # a chain whose links each raise the reach holds each of the at
+        # most 1 + k_max*(k_max + 1)/2 intervals of k <= k_max once
+        if cert.k_max > MAX_BUNDLE_K_MAX or len(cert.chain) > 1 + cert.k_max * (cert.k_max + 1) // 2:
+            return False
         fld = make_field(cert.d)
         for j, k in cert.chain:
             if not (0 <= j <= k and math.gcd(j, k) == 1 and s_part_strip(k, cert.s) == 1):
                 return False
         if cert.k_max != max((k for _, k in cert.chain), default=0):
             return False
-        return replay_chain(fld.D, list(cert.chain))
+        return replay_chain(fld.D, cert.chain)
     if isinstance(cert, DiskCertificate):
         if not 1 <= cert.subdivision_depth <= MAX_SUBDIVISION_DEPTH:
             return False

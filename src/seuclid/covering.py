@@ -9,10 +9,11 @@ k0 = theorem2_bound - 1 and the Farey family of order k0 covers (proof
 in `certify_euclidean`), so the certificate needs no search.  Exact
 integer endpoint keys order the family, and one greedy sweep over those
 keys (`_key_chain`) builds every cover chain, the certificate's and
-`covers_unit`'s.  The keys compare exactly as the endpoints do, and
-`seuclid verify` replays each chain with surd arithmetic.  One exact
-sweep (`_sweep`) serves that replay, residual gaps and the gap-line
-pieces in :mod:`seuclid.disks`.
+`covers_unit`'s.  The keys compare exactly as the endpoints do.
+`seuclid verify` replays each chain with `replay_chain`, exact integer
+sign tests on (j, k, D) that share no ordering code with the keys.  One
+exact surd sweep (`_sweep`) serves residual gaps and the gap-line pieces
+in :mod:`seuclid.disks`.
 
 Produced chains share their links: every certificate that links I_j^k
 holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
@@ -25,6 +26,7 @@ cannot grow it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exact import SSet, SurdValue, surd_cmp
@@ -68,8 +70,8 @@ class CoverCertificate:
     """A replayable proof that the intervals cover [0, 1].
 
     The chain lists (j, k) pairs in sweep order: the first interval
-    strictly contains 0, each next interval starts strictly below the
-    reach so far, and the final reach exceeds 1.
+    strictly contains 0, each next link starts below the reach and ends
+    above it, and the final reach exceeds 1.
     """
 
     d: int
@@ -222,7 +224,7 @@ def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCe
 
     The chain comes from `_key_chain` on exact integer endpoint keys,
     which compare as the endpoints do for any j and k >= 1; `seuclid
-    verify` replays it with surd arithmetic.  A failure's `at` is the
+    verify` replays it with `replay_chain`.  A failure's `at` is the
     first uncovered point: 0, or the right end of the last link.
     """
     if not ivs:
@@ -259,11 +261,40 @@ def _certificate(chain: list[tuple[int, int, int, int]], d: int, s: SSet) -> Cov
     return CoverCertificate(d=d, s=s, k_max=k_max, chain=links)
 
 
-def replay_chain(D: int, chain: list[tuple[int, int]]) -> bool:
-    """Independently re-check a certificate chain with surd comparisons
-    only: the sweep runs over the chain's intervals as given and rejects
-    any gap, so any order that covers [0, 1] link by link passes."""
-    return not _sweep([Interval.make(j, k, D) for j, k in chain])
+def replay_chain(D: int, chain: Sequence[tuple[int, int]]) -> bool:
+    """Independently re-check a certificate chain in the order given, by
+    exact integer sign tests on (j, k, D) alone: the first link holds 0,
+    each next link starts below the reach and ends above it, and the
+    final reach exceeds 1.
+
+    With r = sqrt(3/D), the reach is (a + b*r)/c: 0 as (0, 0, 1), then
+    (j, 1, k) for the link (j, k) that set it.  With P = j*c - a*k,
+    I_j^k = ((j - r)/k, (j + r)/k) starts below the reach iff
+    P - (c + b*k)*r < 0 and ends above it iff P + (c - b*k)*r > 0.  The
+    sign of P + Q*r needs a square, D*P^2 against 3*Q^2, only when P
+    and Q have opposite signs.  A link that repeats one before it or
+    does not raise the reach fails, so a passing chain holds each
+    interval at most once.  Shares no ordering code with the producer's
+    integer keys; raises ValueError when it reaches a link with k < 1.
+    """
+    a, b, c = 0, 0, 1
+    for j, k in chain:
+        if k < 1:
+            raise ValueError(f"not an interval: j = {j}, k = {k}")
+        P = j * c - a * k
+        Q = c - b * k
+        if P > 0:
+            # starts below iff D*P^2 < 3*(c + b*k)^2, and ends above
+            # unless Q < 0 and D*P^2 <= 3*Q^2
+            PP = D * P * P
+            if PP >= 3 * (c + b * k) ** 2 or (Q < 0 and PP <= 3 * Q * Q):
+                return False
+        # P <= 0: starts below, and ends above iff Q > 0 and D*P^2 < 3*Q^2
+        elif Q <= 0 or D * P * P >= 3 * Q * Q:
+            return False
+        a, b, c = j, 1, k
+    # (a + r)/c > 1 iff a - c + r > 0
+    return b == 1 and (a >= c or D * (c - a) ** 2 < 3)
 
 
 def theorem2_bound(fld: QuadField) -> int:
@@ -294,7 +325,20 @@ def certify_euclidean(fld: QuadField, s: SSet) -> CoverCertificate | Verdict:
     I_0^1, I_1^1 hold 0 and 1.  One `_key_chain` sweep of that family,
     sorted by exact integer endpoint keys, gives the certificate, the
     chain `covers_unit` returns on `intervals(fld, s, k0)`; `seuclid
-    verify` replays it with surds.
+    verify` replays it with `replay_chain`.
+
+    That chain is the Farey sequence F_k0 in increasing order.  Along
+    F_k0 both ends of I_h^k strictly increase: for neighbours h/k < h'/k'
+    the ends move by (1 -/+ r*(k - k'))/(k*k'), and
+    |k - k'| < k0 <= 1/r.  So the greedy sweep, at the reach of the link
+    h/k, takes the last interval that starts below it.  That is the
+    successor h'/k', which overlaps I_h^k, and not the second successor
+    h''/k'' = (m*h' - h)/(m*k' - k), m = (k0 + k) // k': the left end of
+    I_h''^k'' minus the right end of I_h^k is
+    (h''*k - h*k'' - r*(k + k''))/(k*k'') = m*(1 - r*k')/(k*k'') >= 0,
+    as h''*k - h*k'' = m and k + k'' = m*k'.  The sweep starts at I_0^1,
+    the only interval that holds 0, and ends at I_1^1, the first whose
+    right end 1 + r passes 1.
     """
     q = s.smallest_missing_prime()
     if fld.D > 3 * q * q:

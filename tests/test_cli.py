@@ -397,6 +397,7 @@ def test_verify_nonpositive_subdivision_depth_exit_3(depth, tmp_path, capsys):
 @pytest.mark.parametrize("argv, field, value", [
     (["10", "--s", "2"], "k_max", 10**9),
     (["35", "--s", "7"], "subdivision_depth", 10**6),
+    (["67", "--s", "2,3"], "k_max", 10**9),
 ])
 def test_verify_over_work_limit_exit_3_at_once(argv, field, value, tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -411,6 +412,24 @@ def test_verify_over_work_limit_exit_3_at_once(argv, field, value, tmp_path, cap
     captured = capsys.readouterr()
     assert "verification FAILED" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("copies", [1, 400_000])
+def test_verify_repeated_cover_links_exit_3(copies, tmp_path, capsys):
+    # copies of I_0^1 in front of the (67, {2, 3}) chain: the copy does
+    # not raise the reach, so the replay fails at it; 400,000 of them
+    # are more links than the 11 intervals with k <= k_max = 4 and fail
+    # before the replay
+    path = tmp_path / "c.json"
+    assert main(["check", "67", "--s", "2,3", "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["payload"]["chain"][:0] = [{"j": 0, "k": 1}] * copies
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.endswith(": verification FAILED\n")
 
 
 def _repeat(entries, count):

@@ -16,6 +16,7 @@ from seuclid.covering import (
     CoverCertificate,
     Interval,
     Verdict,
+    _sweep,
     covers_unit,
     certify_euclidean,
     intervals,
@@ -295,6 +296,121 @@ def test_replay_rejects_broken_chain():
     assert not replay_chain(67, chain[::-1])
 
 
+def _surd_replay(D, chain):
+    """The reference replay: the exact surd sweep over the chain's
+    intervals leaves no gap, and each link raises the reach.  For links
+    with 0 <= j <= k every left end is below 1, so the sweep's gap test
+    is exactly "each link starts below the reach"."""
+    ivs = [Interval.make(j, k, D) for j, k in chain]
+    reach = SurdValue.rational(0)
+    for iv in ivs:
+        if surd_cmp(iv.hi, reach) <= 0:
+            return False
+        reach = iv.hi
+    return not _sweep(ivs)
+
+
+def _farey(n):
+    """The Farey sequence of order n in increasing order, as (h, k) links,
+    by the next-term recurrence: after h/k < h'/k' comes
+    (m*h' - h)/(m*k' - k) with m = (n + k) // k'."""
+    links = [(0, 1)]
+    h, k, h2, k2 = 0, 1, 1, n
+    while k2 <= n and h2 <= k2:
+        links.append((h2, k2))
+        m = (n + k) // k2
+        h, k, h2, k2 = h2, k2, m * h2 - h, m * k2 - k
+    return links
+
+
+SQUAREFREE_3000 = [d for d in range(1, 3001) if squarefree(d)]
+
+
+@st.composite
+def _mangled_farey_chains(draw):
+    """(D, chain): a Farey family of order near k0, with links dropped,
+    duplicated, shuffled or truncated; d = 3 (D = 3, r = 1, where a sign
+    test can meet P + Q*r = 0) and d = 1 (D = 4) come up often."""
+    d = draw(st.one_of(st.sampled_from([1, 3]), st.sampled_from(SQUAREFREE_3000)))
+    D = make_field(d).D
+    k0 = math.isqrt(D // 3)
+    chain = _farey(draw(st.integers(min_value=max(1, k0 - 2), max_value=k0 + 2)))
+    rnd = draw(st.randoms(use_true_random=False))
+    for op in draw(st.lists(st.sampled_from(["drop", "duplicate", "swap", "shuffle", "truncate"]), max_size=3)):
+        if not chain:
+            break
+        i = rnd.randrange(len(chain))
+        if op == "drop":
+            del chain[i]
+        elif op == "duplicate":
+            chain.insert(rnd.randrange(len(chain) + 1), chain[i])
+        elif op == "swap" and i + 1 < len(chain):
+            chain[i], chain[i + 1] = chain[i + 1], chain[i]
+        elif op == "shuffle":
+            rnd.shuffle(chain)
+        elif op == "truncate":
+            chain = chain[:i] if rnd.random() < 0.5 else chain[i:]
+    return D, chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled_farey_chains())
+def test_replay_chain_matches_the_surd_replay(case):
+    D, chain = case
+    assert replay_chain(D, chain) == _surd_replay(D, chain)
+
+
+@pytest.mark.parametrize("D", [3, 4, 20, 67, 11996])
+def test_replay_chain_of_farey_sequences(D):
+    """F_n covers iff n >= k0, and its right ends increase iff
+    (n - 1)*r < 1 (the largest |k - k'| of neighbours is n - 1), so
+    exactly F_k0 and, unless D = 3 (r = 1), F_{k0+1} replay."""
+    k0 = math.isqrt(D // 3)
+    for n in range(1, k0 + 4):
+        want = n == k0 or (n == k0 + 1 and D > 3)
+        assert replay_chain(D, _farey(n)) == _surd_replay(D, _farey(n)) == want, n
+
+
+@pytest.mark.parametrize("D, chain, ok", [
+    # r = sqrt(3/8): I_1^2 starts left of the centre 3/5 of the reach's
+    # link and still raises the reach, which I_5^6 needs
+    (8, [(0, 1), (3, 5), (1, 2), (5, 6), (1, 1)], True),
+    (8, [(0, 1), (3, 5), (5, 6), (1, 1)], False),
+    # r = 1: I_1^2 = (0, 1) ends at the reach 1 of I_0^1 (P > 0)
+    (3, [(0, 1), (1, 2), (1, 1)], False),
+    # r = 1/2: I_0^1 ends at the reach 1/2 of I_1^3, left of its centre
+    # (P < 0, P + Q*r = 0); I_0^2 holds 0, and replay_chain takes any j
+    (12, [(0, 2), (1, 3), (0, 1), (1, 2), (1, 1)], False),
+    (12, [(0, 2), (1, 3), (1, 2), (1, 1)], True),
+])
+def test_replay_chain_edge_cases(D, chain, ok):
+    assert replay_chain(D, chain) == _surd_replay(D, chain) == ok
+
+
+def test_replay_chain_rejects_k_below_one():
+    for link in ((0, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            replay_chain(67, [(0, 1), link, (1, 1)])
+    # a link is checked when the replay reaches it, and it stops at the
+    # first link that fails
+    assert not replay_chain(67, [(1, 1), (0, 0)])
+
+
+def test_theorem2_chain_is_the_farey_sequence_of_k0():
+    """For all 1824 squarefree d <= 3000 the Theorem-2 chain is the Farey
+    sequence of order k0 in increasing order, as `certify_euclidean`
+    proves, and it replays."""
+    links = 0
+    for d in SQUAREFREE_3000:
+        fld = make_field(d)
+        k0 = theorem2_bound(fld) - 1
+        chain = certify_euclidean(fld, SSet.from_iterable(primes_below(k0 + 1))).chain
+        assert list(chain) == _farey(k0), d
+        assert replay_chain(fld.D, chain), d
+        links += len(chain)
+    assert (len(SQUAREFREE_3000), links) == (1824, 833_749)
+
+
 def test_residual_empty_when_covered():
     assert residual(make_field(5), S2, 2).gaps == ()
 
@@ -513,15 +629,22 @@ def test_produced_links_are_shared():
 
 def test_verifier_links_are_not_shared():
     """Chains parsed from a file never enter the producer's link table,
-    however large their j and k."""
-    from seuclid.certs import certificate_from_obj, certificate_to_obj, verify_certificate_obj
+    even with k at the cap, and a file past the cap is rejected."""
+    from seuclid.certs import MAX_BUNDLE_K_MAX, certificate_from_obj, certificate_to_obj, verify_certificate_obj
 
     obj = certificate_to_obj(certify_euclidean(make_field(67), S23))
     size = _shared_links()
-    k = 2**40  # S-smooth, about 1.1e12
-    obj["payload"]["chain"].append({"j": k - 1, "k": k})
-    obj["payload"]["k_max"] = k
+    # I_2081^2592 (2592 = 2^5*3^4) starts below the reach (3 + r)/4 of
+    # I_3^4 and ends above it, past 1 - r, where I_1^1 starts
+    obj["payload"]["chain"].insert(-1, {"j": 2081, "k": 2592})
+    obj["payload"]["k_max"] = 2592
+    assert 2592 <= MAX_BUNDLE_K_MAX
     assert verify_certificate_obj(obj) is True
     assert _shared_links() == size
     link = certificate_from_obj(obj).chain[0]
     assert covering._LINKS[link[1]][link[0]] is not link
+    k = 2 * MAX_BUNDLE_K_MAX
+    obj["payload"]["chain"][-2] = {"j": k - 1, "k": k}
+    obj["payload"]["k_max"] = k
+    assert verify_certificate_obj(obj) is False
+    assert _shared_links() == size

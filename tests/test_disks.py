@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seuclid import disks
-from seuclid.covering import Residual, Verdict, certify_euclidean, replay_chain, residual, theorem2_bound
+from seuclid.covering import (
+    Residual,
+    Verdict,
+    certify_euclidean,
+    covers_unit,
+    intervals,
+    replay_chain,
+    residual,
+    theorem2_bound,
+)
 from seuclid.disks import (
     MAX_REFINE,
     BoundPiece,
@@ -528,38 +537,63 @@ def test_bundle_rejects_residual_gaps_whose_image_meets_another(monkeypatch):
         assert verify_exceptional_bundle(bundle) is accepted
 
 
-def _theorem2_chain_disks(d, drop=None):
-    """The Theorem-2 cover chain of d (S = primes below theorem2_bound),
-    less its link `drop`, and its disks: link (j, k) stands for the
-    radius-1/k disks at (i + j*w)/k, -1 <= i <= k + 1, whose rows hold
-    the points of F with w-coordinate in I_j^k."""
+def _chain_disks(fld, s, chain):
+    """The disks of a cover chain: link (j, k) stands for the radius-1/k
+    disks at (i + j*w)/k, -1 <= i <= k + 1, whose rows hold the points of
+    F with w-coordinate in I_j^k."""
+    disks = tuple(Disk(KElement(i, j, k, fld), Fraction(1, k * k)) for j, k in chain for i in range(-1, k + 2))
+    return DiskCertificate(d=fld.d, s=s, disks=disks, subdivision_depth=10)
+
+
+def _theorem2_chain(d):
     fld = make_field(d)
     s = SSet.from_iterable(primes_below(theorem2_bound(fld)))
-    chain = list(certify_euclidean(fld, s).chain)
-    if drop is not None:
-        del chain[drop]
-    disks = tuple(
-        Disk(KElement(i, j, k, fld), Fraction(1, k * k)) for j, k in chain for i in range(-1, k + 2)
-    )
-    return fld, chain, DiskCertificate(d=d, s=s, disks=disks, subdivision_depth=10)
+    return fld, s, list(certify_euclidean(fld, s).chain)
 
 
 @pytest.mark.parametrize("d", [d for d in range(1, 31) if squarefree(d)])
 def test_cover_chain_disks_cover_the_domain(d):
     # the interval sweep and the disk-cell scan agree on a cover chain
-    _, _, cert = _theorem2_chain_disks(d)
-    assert find_uncovered_cell(cert) is None
+    fld, s, chain = _theorem2_chain(d)
+    assert find_uncovered_cell(_chain_disks(fld, s, chain)) is None
+
+
+def _rejected_chains_leave_cells(fld, s, chain) -> int:
+    """Check that each one-link-shorter chain that replay_chain rejects
+    leaves a cell that no disk of its own holds; returns how many."""
+    rejected = 0
+    for i in range(len(chain)):
+        short = chain[:i] + chain[i + 1:]
+        if not replay_chain(fld.D, short):
+            rejected += 1
+            assert find_uncovered_cell(_chain_disks(fld, s, short)) is not None, (fld.d, chain[i])
+    return rejected
 
 
 @pytest.mark.parametrize("d", [5, 10, 13])
 def test_rejected_chain_disks_leave_a_cell(d):
-    # each shortened chain that replay_chain rejects leaves a cell that no
-    # disk of its own holds
-    _, chain, _ = _theorem2_chain_disks(d)
-    rejected = 0
-    for i in range(len(chain)):
-        fld, short, cert = _theorem2_chain_disks(d, drop=i)
-        if not replay_chain(fld.D, short):
-            rejected += 1
-            assert find_uncovered_cell(cert) is not None, chain[i]
-    assert rejected
+    assert _rejected_chains_leave_cells(*_theorem2_chain(d))
+
+
+@pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+def test_cover_chain_disks_agree_over_other_s(primes):
+    """For each squarefree d <= 30 with a cover over S, the disks of the
+    covers_unit chain of the S-smooth k <= 12 leave no cell, and each
+    one-link-shorter chain that replay_chain rejects leaves one.  It
+    rejects all of them: the chain is F_k0, and h/k with k <= k0 lies in
+    no interval but I_h^k."""
+    s = SSet.of(*primes)
+    covers = 0
+    for d in range(1, 31):
+        if not squarefree(d):
+            continue
+        fld = make_field(d)
+        cert = covers_unit(intervals(fld, s, 12), d=d, s=s)
+        if isinstance(cert, Verdict):
+            continue
+        covers += 1
+        chain = list(cert.chain)
+        assert replay_chain(fld.D, chain)
+        assert find_uncovered_cell(_chain_disks(fld, s, chain)) is None, d
+        assert _rejected_chains_leave_cells(fld, s, chain) == len(chain)
+    assert covers >= 10
