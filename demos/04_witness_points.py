@@ -1,10 +1,10 @@
-"""Negative certification: witness points and the brute-force oracle.
+"""Negative certification: witness points and the grid oracle.
 
 For S = {p}, a witness point xi0 with a proven lower bound
 N_S(xi0 - alpha) >= 1 for all alpha in O_S shows the field is not
 S-norm-Euclidean.  The bound is an exact rational from a small case
-analysis on how p behaves in the field; an exhaustive grid search
-cross-checks it.
+analysis on how p behaves in the field; the exact minimum over a grid
+of S-integers cross-checks it.
 """
 from seuclid import WitnessCertificate, certify_non_euclidean, oracle_min_snorm
 

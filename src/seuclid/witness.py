@@ -2,18 +2,20 @@
 
 For S = {p}, a witness point xi0 together with an exact rational lower
 bound on N_S(xi0 - alpha) over all alpha in O_S certifies that K is not
-S-norm-Euclidean.  A bounded brute-force oracle cross-validates the
-analytic bounds.
+S-norm-Euclidean.  A bounded oracle cross-validates the analytic
+bounds: the exact minimum over a grid of S-integers, found by a scan
+that skips only points it proves cannot lower the minimum.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import Verdict
 from .disks import EXCEPTIONAL_PAIRS
-from .exact import is_prime, legendre, squarefree
+from .exact import SSet, is_prime, legendre, s_part_strip, squarefree
 from .field import KElement, make_field
 
 __all__ = [
@@ -111,46 +113,76 @@ class OracleReport:
 def oracle_min_snorm(
     d: int, p: int, xi0: KElement, n_max: int, coeff_max: int
 ) -> OracleReport:
-    """Exhaustive minimum of N_S(xi0 - alpha) over the grid
+    """Exact minimum of N_S(xi0 - alpha), S = {p}, over the grid
     alpha = (a + b*w)/p^n, n <= n_max, |a|, |b| <= coeff_max.
 
-    The grid never contains the xi0 values used by the certificates
-    (their denominators are not p-powers); alpha = xi0 is skipped
-    regardless.
+    The argmin is the first minimizing alpha in (n, a, b) order: the best
+    is replaced only on a strict improvement.  alpha = xi0 is skipped (the
+    certificates' xi0 have denominators that are not p-powers, so it is
+    off their grids).
+
+    The scan is pruned without changing its answer.  At level n and row
+    a, write x = a0*p^n - a*c0 and y = b0*p^n - b*c0, so that
+    N_S(xi0 - alpha) = strip_p(v(b))/sden with v(b) = x^2 + h*x*y + e*y^2
+    and sden = strip_p(c0^2*p^(2n)) = strip_p(c0)^2, the same at every
+    level.  Once a best strip_p(v) = t exists, a point beats it only if
+    strip_p(v(b)) < t.  Where p does not divide v(b), strip_p(v(b)) = v(b),
+    and v(b) < t iff (2e*y + h*x)^2 < 4e*t - D*x^2: a window of b read
+    off by isqrt.  Where p divides v(b), which depends only on b mod p,
+    the whole residue class is scanned.  Every skipped point has a
+    stripped value >= t, so it is not a strict improvement.  The first
+    row, before any best exists, is scanned in full.
     """
     if n_max < 0 or coeff_max < 1:
         raise ValueError("oracle bounds must be positive")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     fld = xi0.field
-    h, e = fld.h, fld.e
+    if d != fld.d:
+        raise ValueError(f"xi0 lies in {fld}, not in Q(sqrt(-{d}))")
+    h, e, D = fld.h, fld.e, fld.D
     a0, b0, c0 = xi0.a, xi0.b, xi0.c
-    best_num = best_den = 0
-    best_alpha = None
-    rng = range(-coeff_max, coeff_max + 1)
+    sden = s_part_strip(c0, SSet.of(p)) ** 2
+    lo, hi = -coeff_max, coeff_max
+    full = range(lo, hi + 1)
+    head = range(lo, min(lo + p, hi + 1))  # one b from each class mod p
+    m = 2 * e * c0
+    best = None  # the least stripped value so far, at best_alpha
     for n in range(n_max + 1):
         pn = p**n
-        den = c0 * c0 * pn * pn
-        sden = den
-        while sden % p == 0:
-            sden //= p
-        for a in rng:
-            ap = a0 * pn - a * c0
-            # N(ap + bp*w) = ap^2 + bp*(h*ap + e*bp)
-            ap2, hap = ap * ap, h * ap
-            for b in rng:
-                bp = b0 * pn - b * c0
-                if ap == 0 and bp == 0:
-                    continue  # alpha equals xi0
-                num = ap2 + bp * (hap + e * bp)
-                while num % p == 0:
-                    num //= p
-                # compare num/sden against the best so far
-                if best_alpha is None or num * best_den < best_num * sden:
-                    best_num, best_den = num, sden
-                    best_alpha = (a, b, pn)
-    assert best_alpha is not None
+        y0 = b0 * pn  # y = y0 - b*c0
+        for a in full:
+            x = a0 * pn - a * c0
+            # N(x + y*w) = x^2 + y*(h*x + e*y)
+            x2, hx = x * x, h * x
+            if best is None:
+                spans = [full]
+            else:
+                spans = [range(b, hi + 1, p) for b in head
+                         if (x2 + (y0 - b * c0) * (hx + e * (y0 - b * c0))) % p == 0]
+                r2 = 4 * e * best - D * x2
+                if r2 > 0:
+                    # |2e*y + h*x| = |cnum - m*b| <= isqrt(r2), widened by one
+                    cnum, s = 2 * e * y0 + hx, math.isqrt(r2)
+                    spans.append(range(max(lo, (cnum - s) // m - 1), min(hi, (cnum + s) // m + 1) + 1))
+            # the row's least stripped value at its least b (greatest y)
+            row_num = row_y = None
+            for bs in spans:
+                for y in range(y0 - bs.start * c0, y0 - bs.stop * c0, -bs.step * c0):
+                    num = x2 + y * (hx + e * y)
+                    if num == 0:
+                        continue  # alpha equals xi0
+                    while num % p == 0:
+                        num //= p
+                    if row_num is None or num < row_num or (num == row_num and y > row_y):
+                        row_num, row_y = num, y
+            # kept only on a strict improvement
+            if row_num is not None and (best is None or row_num < best):
+                best = row_num
+                best_alpha = (a, (y0 - row_y) // c0, pn)
     a, b, pn = best_alpha
     return OracleReport(
-        min_snorm_found=Fraction(best_num, best_den),
+        min_snorm_found=Fraction(best, sden),
         argmin=KElement(a, b, pn, fld),
         search_bounds=(n_max, coeff_max),
     )

@@ -123,6 +123,25 @@ def test_oracle_split_prime_uses_default_point(capsys):
     assert capsys.readouterr().out.startswith("xi0 = (1+w)/2;")
 
 
+ORACLE_GOLDEN = {
+    # the README example, and a split prime centred on (1+w)/2
+    "17 2 --nmax 4 --coeff 40": (
+        "xi0 = (1+w)/3; grid n <= 4, |a|,|b| <= 40\n"
+        "min S-norm found: 1 at alpha = -21-21w\n"
+    ),
+    "7 2 --nmax 1 --coeff 5": (
+        "xi0 = (1+w)/2; grid n <= 1, |a|,|b| <= 5\n"
+        "min S-norm found: 1 at alpha = -3+3w\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(ORACLE_GOLDEN))
+def test_oracle_golden_output(args, capsys):
+    assert main(["oracle", *args.split()]) == 0
+    assert capsys.readouterr().out == ORACLE_GOLDEN[args]
+
+
 def test_verify_bad_bundle_exit_3(tmp_path, capsys):
     path = tmp_path / "c.json"
     assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0

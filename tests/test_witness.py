@@ -1,7 +1,9 @@
-"""Witness lower-bound dispatch and brute-force oracle tests."""
+"""Witness lower-bound dispatch and oracle tests."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seuclid.covering import CoverCertificate, Verdict, certify_euclidean
 from seuclid.disks import EXCEPTIONAL_PAIRS
@@ -9,6 +11,7 @@ from seuclid.exact import SSet, squarefree
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.witness import (
     CaseTag,
+    OracleReport,
     WitnessCertificate,
     certify_non_euclidean,
     oracle_min_snorm,
@@ -131,6 +134,114 @@ def test_oracle_skips_xi0_itself():
     assert rep.min_snorm_found > 0
     with pytest.raises(ValueError):
         oracle_min_snorm(17, 2, xi0, -1, 10)
+
+
+def _oracle_grid_reference(d, p, xi0, n_max, coeff_max):
+    """The unpruned scan of every grid point alpha = (a + b*w)/p^n, in
+    (n, a, b) order, replacing the best only on a strict improvement."""
+    fld = xi0.field
+    h, e = fld.h, fld.e
+    a0, b0, c0 = xi0.a, xi0.b, xi0.c
+    best_num = best_den = 0
+    best_alpha = None
+    rng = range(-coeff_max, coeff_max + 1)
+    for n in range(n_max + 1):
+        pn = p**n
+        den = c0 * c0 * pn * pn
+        sden = den
+        while sden % p == 0:
+            sden //= p
+        for a in rng:
+            ap = a0 * pn - a * c0
+            ap2, hap = ap * ap, h * ap
+            for b in rng:
+                bp = b0 * pn - b * c0
+                if ap == 0 and bp == 0:
+                    continue  # alpha equals xi0
+                num = ap2 + bp * (hap + e * bp)
+                while num % p == 0:
+                    num //= p
+                if best_alpha is None or num * best_den < best_num * sden:
+                    best_num, best_den = num, sden
+                    best_alpha = (a, b, pn)
+    a, b, pn = best_alpha
+    return OracleReport(
+        min_snorm_found=Fraction(best_num, best_den),
+        argmin=KElement(a, b, pn, fld),
+        search_bounds=(n_max, coeff_max),
+    )
+
+
+def test_oracle_rejects_bad_inputs():
+    xi0 = KElement(1, 1, 3, make_field(17))
+    for p in (1, 0, -2, 4, 15):  # stripping factors p = 1 would never end
+        with pytest.raises(ValueError, match="prime"):
+            oracle_min_snorm(17, p, xi0, 1, 2)
+    # xi0 of Q(sqrt(-17)) with d = 5: no silent report for d = 17
+    with pytest.raises(ValueError, match="sqrt"):
+        oracle_min_snorm(5, 2, xi0, 1, 2)
+    with pytest.raises(ValueError):
+        oracle_min_snorm(17, 2, xi0, 1, 0)
+
+
+_ORACLE_D = [d for d in range(1, 60) if squarefree(d)]  # d = 1, 3 give D = 4, 3
+
+
+@st.composite
+def _oracle_inputs(draw):
+    d = draw(st.sampled_from(_ORACLE_D))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))  # split primes included
+    n_max = draw(st.integers(0, 3))
+    coeff_max = draw(st.integers(1, 8))
+    fld = make_field(d)
+    if draw(st.booleans()):  # xi0 on the grid
+        coeff = st.integers(-coeff_max, coeff_max)
+        xi0 = KElement(draw(coeff), draw(coeff), p ** draw(st.integers(0, n_max)), fld)
+    else:
+        coeff = st.integers(-30, 30)
+        xi0 = KElement(draw(coeff), draw(coeff), draw(st.integers(1, 12)), fld)
+    return d, p, xi0, n_max, coeff_max
+
+
+@settings(max_examples=400, deadline=None)
+@given(_oracle_inputs())
+@example((1, 5, KElement(1, 1, 2, make_field(1)), 3, 8))  # 5 splits, D = 4
+@example((3, 7, KElement(2, 1, 3, make_field(3)), 3, 8))  # 7 splits, D = 3
+@example((7, 2, KElement(1, 1, 6, make_field(7)), 3, 8))  # 2 splits and divides c
+@example((17, 2, KElement(1, 1, 2, make_field(17)), 2, 5))  # xi0 on the n = 1 grid
+@example((15, 3, KElement(5, -4, 9, make_field(15)), 3, 8))  # 3 ramifies, 9 | c
+def test_oracle_equals_full_grid_scan(args):
+    assert oracle_min_snorm(*args) == _oracle_grid_reference(*args)
+
+
+def test_oracle_equals_full_grid_scan_on_witnesses():
+    # paper_survey witnesses, every case tag among them
+    pairs = ((13, 2), (14, 2), (17, 2), (6, 3), (19, 3), (39, 3),
+             (5, 5), (23, 5), (15, 7), (22, 11), (37, 13))
+    for d, p in pairs:
+        cert = certify_non_euclidean(d, p)
+        assert isinstance(cert, WitnessCertificate)
+        assert oracle_min_snorm(d, p, cert.xi0, 4, 60) == _oracle_grid_reference(d, p, cert.xi0, 4, 60)
+
+
+def test_oracle_reports_first_minimizer():
+    """With several minimizing alpha, the first in (n, a, b) order wins."""
+    fld = make_field(1)
+    xi0 = KElement(1, 1, 2, fld)
+    s = SSet.of(3)
+    values = {
+        (n, a, b): s_norm(xi0 - KElement(a, b, 3**n, fld), s)
+        for n in range(2) for a in range(-2, 3) for b in range(-2, 3)
+    }
+    least = min(values.values())
+    minimizers = sorted(key for key, value in values.items() if value == least)
+    assert least == Fraction(1, 2) and len(minimizers) == 13
+    n, a, b = minimizers[0]
+    assert (n, a, b) == (0, -1, -1)  # also (0, -1, 2), (0, 0, 0), ... and n = 1 points
+    report = oracle_min_snorm(1, 3, xi0, 1, 2)
+    assert report == _oracle_grid_reference(1, 3, xi0, 1, 2)
+    assert report.min_snorm_found == least
+    assert report.argmin == KElement(a, b, 3**n, fld)
 
 
 def test_exceptional_pairs_note():
