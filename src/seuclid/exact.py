@@ -126,11 +126,15 @@ def next_prime(n: int) -> int:
 def s_part_strip(n: int, s: SSet) -> int:
     """Divide every factor p in S out of n completely.
 
-    The result is coprime to every prime in S and divides n.
+    The result is coprime to every prime in S and divides n.  The primes
+    of S are ascending, so the loop stops at the first p > n: no such p
+    divides n >= 1.
     """
     if n < 1:
         raise ValueError(f"s_part_strip expects a positive integer, got {n}")
     for p in s:
+        if p > n:
+            break
         while n % p == 0:
             n //= p
     return n

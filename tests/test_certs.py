@@ -2,13 +2,19 @@
 import copy
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seuclid import certs
 from seuclid.certs import (
+    MAX_BUNDLE_K_MAX,
     MAX_SUBDIVISION_DEPTH,
     CertificateParseError,
+    _typed,
     canonical_json,
     certificate_from_obj,
     certificate_to_obj,
@@ -16,7 +22,7 @@ from seuclid.certs import (
     save_certificate,
     verify_certificate_obj,
 )
-from seuclid.covering import certify_euclidean, intervals, residual, theorem2_bound
+from seuclid.covering import certify_euclidean, intervals, replay_chain, residual, theorem2_bound
 from seuclid.disks import (
     _piece_span,
     certify_exceptional,
@@ -24,7 +30,7 @@ from seuclid.disks import (
     gap_line_certificate,
     table_disk_certificate,
 )
-from seuclid.exact import SSet, primes_below, squarefree
+from seuclid.exact import SSet, is_prime, primes_below, s_part_strip, squarefree
 from seuclid.field import make_field
 from seuclid.witness import certify_non_euclidean
 
@@ -71,6 +77,147 @@ def test_verify_rejects_false_k_max():
         forged = copy.deepcopy(obj)
         forged["payload"]["k_max"] = k_max
         assert not verify_certificate_obj(forged)
+
+
+def _cover_admissible_reference(chain, s):
+    """The checker's per-link test before it tested each denominator
+    once: every link is an I_j^k with 0 <= j <= k, gcd(j, k) = 1 and
+    S-smooth k."""
+    for j, k in chain:
+        if not (0 <= j <= k and math.gcd(j, k) == 1 and s_part_strip(k, s) == 1):
+            return False
+    return True
+
+
+def _verify_cover_reference(obj):
+    """verify_certificate_obj on a cover object whose d, s and k_max are
+    valid, by the per-link path: the chain parsed with `_typed` on each
+    value, the work caps, the reference test above, the k_max test and
+    `replay_chain`."""
+    payload = obj["payload"]
+    try:
+        chain = tuple((_typed(e["j"], int, "j"), _typed(e["k"], int, "k")) for e in payload["chain"])
+    except CertificateParseError:
+        raise
+    except Exception as exc:
+        raise CertificateParseError(f"malformed certificate: {exc}") from exc
+    k_max = payload["k_max"]
+    if k_max > MAX_BUNDLE_K_MAX or len(chain) > 1 + k_max * (k_max + 1) // 2:
+        return False
+    if not _cover_admissible_reference(chain, SSet.from_iterable(obj["s"])):
+        return False
+    if k_max != max((k for _, k in chain), default=0):
+        return False
+    return replay_chain(make_field(obj["d"]).D, chain)
+
+
+def _outcome(verify, obj):
+    """The result of verify(obj), or the message of the parse error it raises."""
+    try:
+        return verify(obj)
+    except CertificateParseError as exc:
+        return ("parse error", str(exc))
+
+
+SQUAREFREE_3000 = [d for d in range(1, 3001) if squarefree(d)]
+COVER_MUTATIONS = (
+    "drop", "duplicate", "swap", "j < 0", "j > k", "k = 0", "k < 0", "scale by 2", "non-smooth k",
+    "k_max + 1", "k_max - 1",
+)
+
+
+def _smooth_farey(n, s):
+    """The links of the Farey sequence of order n whose k is S-smooth, in
+    increasing order of j/k."""
+    links = [(j, k) for k in range(1, n + 1) if s_part_strip(k, s) == 1 for j in range(k + 1) if math.gcd(j, k) == 1]
+    return sorted(links, key=lambda link: Fraction(*link))
+
+
+@st.composite
+def _mutated_cover_objs(draw):
+    """A cover object whose chain is F_n, n near k0, cut to the S-smooth k
+    (for the Theorem-2 set and n = k0 the producer's certificate), with
+    up to three mutations and, one time in four, a value of a wrong JSON
+    type."""
+    d = draw(st.sampled_from(SQUAREFREE_3000))
+    fld = make_field(d)
+    k0 = theorem2_bound(fld) - 1
+    primes = draw(st.sampled_from([None, (2,), (2, 3), (2, 3, 5)]))
+    s = SSet.from_iterable(primes_below(k0 + 1) if primes is None else primes)
+    n = max(1, k0 + draw(st.sampled_from([0, 0, 0, -2, -1, 1, 2])))
+    chain = [{"j": j, "k": k} for j, k in _smooth_farey(n, s)]
+    k_max = max(link["k"] for link in chain)
+    rnd = draw(st.randoms(use_true_random=False))
+    for op in draw(st.lists(st.sampled_from(COVER_MUTATIONS), max_size=3)):
+        i = rnd.randrange(len(chain)) if chain else None
+        if op == "k_max + 1":
+            k_max += 1
+        elif op == "k_max - 1":
+            k_max -= 1
+        elif op == "non-smooth k":
+            q = next(p for p in range(2, 1000) if is_prime(p) and p not in s)
+            chain.insert(rnd.randrange(len(chain) + 1), {"j": rnd.randrange(1, q), "k": q})
+        elif i is None:
+            continue
+        elif op == "drop":
+            del chain[i]
+        elif op == "duplicate":
+            chain.insert(i, dict(chain[i]))
+        elif op == "swap" and i + 1 < len(chain):
+            chain[i], chain[i + 1] = chain[i + 1], chain[i]
+        elif op == "j < 0":
+            chain[i]["j"] = -1 - chain[i]["j"]
+        elif op == "j > k":
+            chain[i]["j"] = chain[i]["k"] + 1
+        elif op == "k = 0":
+            chain[i]["k"] = 0
+        elif op == "k < 0":
+            chain[i]["k"] = -chain[i]["k"]
+        elif op == "scale by 2":
+            chain[i] = {"j": 2 * chain[i]["j"], "k": 2 * chain[i]["k"]}
+    if chain and draw(st.integers(0, 3)) == 3:
+        link = chain[rnd.randrange(len(chain))]
+        key = rnd.choice("jk")
+        link[key] = rnd.choice([bool(link[key] % 2), float(link[key]), str(link[key])])
+    return {
+        "schema_version": "3.0", "kind": "cover", "d": d, "s": list(s.primes),
+        "payload": {"k_max": k_max, "chain": chain},
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_cover_objs())
+def test_verify_cover_matches_the_per_link_reference(obj):
+    assert _outcome(verify_certificate_obj, obj) == _outcome(_verify_cover_reference, obj)
+
+
+@pytest.mark.parametrize("links, message", [
+    ({2: {"j": 1.0}}, "j must be of type int, got 1.0"),
+    ({2: {"j": 1}, 3: {"j": 1.0, "k": 2}}, "malformed certificate: 'k'"),
+    ({2: {"j": 1, "k": "3"}, 3: {"k": 2}}, "k must be of type int, got '3'"),
+])
+def test_cover_parse_error_names_the_first_bad_value(links, message):
+    obj = certificate_to_obj(certify_euclidean(make_field(67), SSet.of(2, 3)))
+    for i, link in links.items():
+        obj["payload"]["chain"][i] = link
+    assert _outcome(verify_certificate_obj, obj) == _outcome(_verify_cover_reference, obj) == ("parse error", message)
+
+
+def test_verify_tests_each_denominator_once(monkeypatch):
+    """F_36 has 397 links but 36 denominators: the smoothness test runs
+    once per distinct k, not once per link."""
+    fld = make_field(997)
+    cert = certify_euclidean(fld, SSet.from_iterable(primes_below(theorem2_bound(fld))))
+    assert cert.k_max == 36 and len(cert.chain) == 397
+    calls = []
+
+    def counting(n, s):
+        calls.append(n)
+        return s_part_strip(n, s)
+
+    monkeypatch.setattr(certs, "s_part_strip", counting)
+    assert verify_certificate_obj(certificate_to_obj(cert)) is True
+    assert sorted(calls) == list(range(1, 37))
 
 
 # sha256 over the canonical JSON (one line each) of the Theorem-2 cover

@@ -17,6 +17,7 @@ from seuclid.certs import (
 )
 from seuclid.cli import main
 from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
+from seuclid.exact import primes_below
 
 
 def test_check_euclidean(capsys):
@@ -333,6 +334,13 @@ COVER_FORGERIES = [
     ("link 1 j = -1", _set("payload", "chain", 1, "j", value=-1), 3),
     ("link 2 dropped", lambda obj: obj["payload"]["chain"].pop(2), 3),
     ("chain missing", lambda obj: obj["payload"].pop("chain"), 1),
+    ("link 0 = [0, 1]", _set("payload", "chain", 0, value=[0, 1]), 1),
+    ("link 0 without k", lambda obj: obj["payload"]["chain"][0].pop("k"), 1),
+    ("chain = '0,1'", _set("payload", "chain", value="0,1"), 1),
+    ("link 1 = (2, 4)", _set("payload", "chain", 1, value={"j": 2, "k": 4}), 3),
+    ("link 0 = (0, 0)", _set("payload", "chain", 0, value={"j": 0, "k": 0}), 3),
+    ("link 1 k = -1", _set("payload", "chain", 1, "k", value=-1), 3),
+    ("empty chain, k_max = 0", lambda obj: obj["payload"].update(chain=[], k_max=0), 3),
 ]
 
 
@@ -449,6 +457,20 @@ def test_verify_repeated_cover_links_exit_3(copies, tmp_path, capsys):
     assert main(["verify", str(path)]) == 3
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().out.endswith(": verification FAILED\n")
+
+
+def test_verify_cover_with_a_large_s(tmp_path, capsys):
+    # the (99991, Theorem-2) cover, F_182 with 10,133 links, checked
+    # against all 9,592 primes below 10^5: each k's smoothness is tested
+    # once, and each test stops at the first prime above k
+    path = tmp_path / "c.json"
+    primes = ",".join(map(str, primes_below(10**5)))
+    assert main(["check", "99991", "--s", primes, "--cert", str(path)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.endswith(": valid\n")
 
 
 def _repeat(entries, count):

@@ -98,6 +98,20 @@ def test_s_part_strip_properties(n):
     assert S23.is_smooth(n // r)
 
 
+PRIMES_200 = primes_below(200)
+
+
+@given(st.integers(min_value=1, max_value=10**5), st.sets(st.sampled_from(PRIMES_200)))
+def test_s_part_strip_equals_dividing_out_every_prime(n, primes):
+    """The strip stops at the first prime of S above what is left of n;
+    dividing out every prime of S, large ones included, gives the same."""
+    reference = n
+    for p in primes:
+        while reference % p == 0:
+            reference //= p
+    assert s_part_strip(n, SSet.from_iterable(primes)) == reference
+
+
 def test_s_norm_rational_examples():
     assert s_norm_rational(Fraction(54, 49), S2) == Fraction(27, 49)
     assert s_norm_rational(Fraction(8, 9), S23) == 1
