@@ -9,6 +9,7 @@ certification path.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +91,8 @@ class SSet:
         return iter(self.primes)
 
     def __contains__(self, p: int) -> bool:
-        return p in self.primes
+        i = bisect.bisect_left(self.primes, p)
+        return i < len(self.primes) and self.primes[i] == p
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -110,10 +112,17 @@ class SSet:
         return [n for n in range(1, limit + 1) if self.is_smooth(n)]
 
     def smallest_missing_prime(self) -> int:
-        q = 2
-        while q in self.primes:
-            q = next_prime(q)
-        return q
+        """The least prime not in S, by one walk of the ascending primes
+        of S: linear in |S|.  They are known prime, so only the integers
+        strictly between two of them are tested, and past the last one
+        `next_prime` answers."""
+        q = 1
+        for p in self.primes:
+            for n in range(q + 1, p):
+                if is_prime(n):
+                    return n
+            q = p
+        return next_prime(q)
 
 
 def next_prime(n: int) -> int:

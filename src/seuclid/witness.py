@@ -4,7 +4,11 @@ For S = {p}, a witness point xi0 together with an exact rational lower
 bound on N_S(xi0 - alpha) over all alpha in O_S certifies that K is not
 S-norm-Euclidean.  A bounded oracle cross-validates the analytic
 bounds: the exact minimum over a grid of S-integers, found by a scan
-that skips only points it proves cannot lower the minimum.
+that skips only points it proves cannot lower the minimum.  Per row it
+visits a window of b where the norm is below the best, plus the residue
+classes of b mod p where p divides the norm, tabled once per grid
+level.  Above level 0, an inert p prime to the denominator of xi0 needs
+only the window.
 """
 from __future__ import annotations
 
@@ -128,10 +132,22 @@ def oracle_min_snorm(
     level.  Once a best strip_p(v) = t exists, a point beats it only if
     strip_p(v(b)) < t.  Where p does not divide v(b), strip_p(v(b)) = v(b),
     and v(b) < t iff (2e*y + h*x)^2 < 4e*t - D*x^2: a window of b read
-    off by isqrt.  Where p divides v(b), which depends only on b mod p,
-    the whole residue class is scanned.  Every skipped point has a
-    stripped value >= t, so it is not a strict improvement.  The first
-    row, before any best exists, is scanned in full.
+    off by isqrt, empty when 4e*t - D*x^2 <= 0.  Where p divides v(b)
+    the whole residue class of b mod p is scanned.  Whether p | v(b)
+    depends only on x and y mod p, so at level n only on a mod p and
+    b mod p: the classes are tabled once per level, for one a of each
+    class, and a row with no class and an empty window is skipped.
+    Every skipped point has a stripped value >= t, so it is not a strict
+    improvement.  The first row, before any best exists, is scanned in
+    full.
+
+    When p is inert in K, N(x + y*w) = 0 (mod p) only for x = y = 0
+    (mod p).  If moreover p does not divide c0, then at n >= 1 (where
+    x = -a*c0 and y = -b*c0 mod p) p | v(b) forces p | a and p | b, so
+    alpha = (a/p + (b/p)*w)/p^(n-1) is a grid point of level n - 1 with
+    the same value, scanned before it: never a strict improvement.  So
+    above level 0 an inert p has no class, only the window.  If p | c0,
+    every point of level n >= 1 has p | v, and the classes are kept.
     """
     if n_max < 0 or coeff_max < 1:
         raise ValueError("oracle bounds must be positive")
@@ -145,12 +161,20 @@ def oracle_min_snorm(
     sden = s_part_strip(c0, SSet.of(p)) ** 2
     lo, hi = -coeff_max, coeff_max
     full = range(lo, hi + 1)
-    head = range(lo, min(lo + p, hi + 1))  # one b from each class mod p
+    head = range(lo, min(lo + p, hi + 1))  # one value from each class mod p
+    inert = fld.is_inert(p) and c0 % p != 0  # then no class above level 0
     m = 2 * e * c0
     best = None  # the least stripped value so far, at best_alpha
     for n in range(n_max + 1):
         pn = p**n
         y0 = b0 * pn  # y = y0 - b*c0
+        # the classes of b mod p where p | v, keyed by a mod p
+        classes = {}
+        if not (n and inert):
+            for a in head:
+                x = a0 * pn - a * c0
+                classes[a % p] = [range(b, hi + 1, p) for b in head
+                                  if fld.norm_form(x, y0 - b * c0) % p == 0]
         for a in full:
             x = a0 * pn - a * c0
             # N(x + y*w) = x^2 + y*(h*x + e*y)
@@ -158,13 +182,14 @@ def oracle_min_snorm(
             if best is None:
                 spans = [full]
             else:
-                spans = [range(b, hi + 1, p) for b in head
-                         if (x2 + (y0 - b * c0) * (hx + e * (y0 - b * c0))) % p == 0]
+                spans = classes.get(a % p, [])
                 r2 = 4 * e * best - D * x2
                 if r2 > 0:
                     # |2e*y + h*x| = |cnum - m*b| <= isqrt(r2), widened by one
                     cnum, s = 2 * e * y0 + hx, math.isqrt(r2)
-                    spans.append(range(max(lo, (cnum - s) // m - 1), min(hi, (cnum + s) // m + 1) + 1))
+                    spans = [*spans, range(max(lo, (cnum - s) // m - 1), min(hi, (cnum + s) // m + 1) + 1)]
+                elif not spans:
+                    continue
             # the row's least stripped value at its least b (greatest y)
             row_num = row_y = None
             for bs in spans:

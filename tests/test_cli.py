@@ -134,6 +134,11 @@ ORACLE_GOLDEN = {
         "xi0 = (1+w)/2; grid n <= 1, |a|,|b| <= 5\n"
         "min S-norm found: 1 at alpha = -3+3w\n"
     ),
+    # 3 is inert in Q(sqrt(-19)): above level 0 only the vertex window
+    "19 3 --nmax 3 --coeff 20": (
+        "xi0 = (1+w)/2; grid n <= 3, |a|,|b| <= 20\n"
+        "min S-norm found: 5/4 at alpha = -13+14w\n"
+    ),
 }
 
 

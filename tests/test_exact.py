@@ -1,5 +1,6 @@
 """Kernel tests: S-part stripping, Legendre symbols, exact surd comparison."""
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -57,6 +58,34 @@ def test_sset_smooth():
     assert SSet().smallest_missing_prime() == 2
     assert S2.smallest_missing_prime() == 3
     assert SSet.of(2, 3, 5).smallest_missing_prime() == 7
+
+
+def _smallest_missing_prime_reference(s):
+    """The quadratic loop that `smallest_missing_prime` replaced."""
+    q = 2
+    while q in s.primes:
+        q = next_prime(q)
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.sampled_from(primes_below(200))), st.integers(0, 250))
+def test_sset_walk_equals_reference(primes, n):
+    s = SSet.from_iterable(primes)
+    assert s.smallest_missing_prime() == _smallest_missing_prime_reference(s)
+    assert (n in s) == (n in primes)
+
+
+def test_smallest_missing_prime_is_linear():
+    # all 9,592 primes below 10^5: the old loop scanned the tuple once per prime
+    s = SSet.from_iterable(primes_below(10**5))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert s.smallest_missing_prime() == 100003
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert 99991 in s and 99989 in s and 99990 not in s and 100003 not in s
 
 
 def _smooth_closure(s, limit):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seuclid.covering import CoverCertificate, Verdict, certify_euclidean
 from seuclid.disks import EXCEPTIONAL_PAIRS
-from seuclid.exact import SSet, squarefree
+from seuclid.exact import SSet, legendre, squarefree
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.witness import (
     CaseTag,
@@ -210,6 +210,9 @@ def _oracle_inputs(draw):
 @example((7, 2, KElement(1, 1, 6, make_field(7)), 3, 8))  # 2 splits and divides c
 @example((17, 2, KElement(1, 1, 2, make_field(17)), 2, 5))  # xi0 on the n = 1 grid
 @example((15, 3, KElement(5, -4, 9, make_field(15)), 3, 8))  # 3 ramifies, 9 | c
+@example((1, 3, KElement(1, 1, 3, make_field(1)), 3, 8))  # 3 inert and divides c: classes kept
+@example((11, 2, KElement(1, 1, 3, make_field(11)), 3, 8))  # 2 inert
+@example((10, 5, KElement(1, 1, 2, make_field(10)), 3, 8))  # 5 ramifies and divides e
 def test_oracle_equals_full_grid_scan(args):
     assert oracle_min_snorm(*args) == _oracle_grid_reference(*args)
 
@@ -217,11 +220,21 @@ def test_oracle_equals_full_grid_scan(args):
 def test_oracle_equals_full_grid_scan_on_witnesses():
     # paper_survey witnesses, every case tag among them
     pairs = ((13, 2), (14, 2), (17, 2), (6, 3), (19, 3), (39, 3),
-             (5, 5), (23, 5), (15, 7), (22, 11), (37, 13))
+             (5, 5), (23, 5), (15, 7), (22, 11), (37, 13), (35, 2), (43, 2))
     for d, p in pairs:
         cert = certify_non_euclidean(d, p)
         assert isinstance(cert, WitnessCertificate)
         assert oracle_min_snorm(d, p, cert.xi0, 4, 60) == _oracle_grid_reference(d, p, cert.xi0, 4, 60)
+
+
+def test_is_inert_matches_legendre():
+    for d in range(1, 201):
+        if not squarefree(d):
+            continue
+        fld = make_field(d)
+        for p in (2, 3, 5, 7, 11, 13):
+            inert = (-d) % 8 == 5 if p == 2 else legendre(-d, p) == -1
+            assert fld.is_inert(p) == inert, (d, p)
 
 
 def test_oracle_reports_first_minimizer():
