@@ -38,9 +38,11 @@ SCHEMA_VERSION = "3.0"
 # the same cap (a Theorem-2 cover has k_max = k0 <= 1154 for
 # d <= MAX_D); a disk scan computes one corner range per disk in each
 # of its depth + 1 columns (the built-ins use 14 and 20 disks, the
-# benchmark files depth 500), and a bundle's gap lines check and sort
-# their pieces (the built-ins have at most 5 in all); a file past any
-# limit is rejected before any of that work.  A d or prime of s over
+# benchmark files depth 500), and a gap line of n pieces takes at most
+# (2*n + 2)^2 integer sign tests, two to place each of its 2*n + 2 ends
+# (0, 1 and the span ends) in [0, 1] and two per piece at each (the
+# built-ins have at most 5 pieces in all); a file past any limit is
+# rejected before any of that work.  A d or prime of s over
 # MAX_D is a parse error before the trial divisions of `squarefree` and
 # `is_prime`.  After parsing, a cover costs O(links + sum of pi(k)) over
 # its distinct k: a gcd per link, one S-strip per distinct k, which stops

@@ -9,11 +9,11 @@ k0 = theorem2_bound - 1 and the Farey family of order k0 covers (proof
 in `certify_euclidean`), so the certificate needs no search.  Exact
 integer endpoint keys order the family, and one greedy sweep over those
 keys (`_key_chain`) builds every cover chain, the certificate's and
-`covers_unit`'s.  The keys compare exactly as the endpoints do.
-`seuclid verify` replays each chain with `replay_chain`, exact integer
-sign tests on (j, k, D) that share no ordering code with the keys.  One
-exact surd sweep (`_sweep`) serves residual gaps and the gap-line pieces
-in :mod:`seuclid.disks`.
+`covers_unit`'s.  The keys compare exactly as the endpoints do, so
+`residual` reads the uncovered gaps off the same sorted keys too, and
+only the gap ends become `SurdValue`s.  `seuclid verify` replays each
+chain with `replay_chain`, exact integer sign tests on (j, k, D) that
+share no ordering code with the keys.
 
 Produced chains share their links: every certificate that links I_j^k
 holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
@@ -29,7 +29,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .exact import SSet, SurdValue, surd_cmp
+from .exact import SSet, SurdValue
 from .field import QuadField
 
 __all__ = [
@@ -56,9 +56,6 @@ class Interval:
     D: int
     lo: SurdValue
     hi: SurdValue
-
-    lo_closed = False
-    hi_closed = False
 
     @classmethod
     def make(cls, j: int, k: int, D: int) -> "Interval":
@@ -184,38 +181,6 @@ def _key_chain(family: list[tuple[int, int, int, int]], one: int) -> list[tuple[
     if best is not None and best[3] > reach:
         chain.append(best)
     return chain
-
-
-def _sweep(items):
-    """One left-to-right pass deciding which parts of [0, 1] the items
-    cover.
-
-    Items carry `SurdValue` ends `lo`, `hi` and flags `lo_closed`,
-    `hi_closed`; `surd_cmp` orders the ends.  The covered prefix is
-    [0, reach), plus the point reach when `covered`.  An item that meets
-    the prefix extends it, in any order; one that does not opens a gap
-    and starts a new prefix.  In order of left end (closed before open on
-    ties) the gaps are exactly the maximal uncovered pieces of [0, 1],
-    each a (start, end) pair whose endpoints belong to it unless an item
-    covers them.  Returns the gaps.
-    """
-    gaps = []
-    reach, covered = _ZERO, False
-    for item in items:
-        c = surd_cmp(item.lo, reach)
-        if c > 0 or (c == 0 and not (covered or item.lo_closed)):
-            if surd_cmp(item.lo, _ONE) > 0:
-                break
-            gaps.append((reach, item.lo))
-        c = surd_cmp(item.hi, reach)
-        if c > 0:
-            reach, covered = item.hi, item.hi_closed
-        elif c == 0 and item.hi_closed:
-            covered = True
-    c = surd_cmp(reach, _ONE)
-    if c < 0 or (c == 0 and not covered):
-        gaps.append((reach, _ONE))
-    return gaps
 
 
 def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | Verdict:
@@ -349,5 +314,30 @@ def certify_euclidean(fld: QuadField, s: SSet) -> CoverCertificate | Verdict:
 
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     """Exact maximal closed gaps of [0, 1] left uncovered by the open
-    intervals with S-smooth k <= k_max, sorted left to right."""
-    return Residual(tuple(_sweep(intervals(fld, s, k_max))))
+    intervals with S-smooth k <= k_max, sorted left to right.
+
+    One pass over the key-sorted family, whose keys compare exactly as
+    the endpoints do, 0 and 1 included (`_endpoint_keys`).  [0, reach)
+    is covered, reach the largest right end so far (0 at first); an
+    interval whose left end is not below it leaves the gap [reach, left
+    end], one point when the two are equal, as the intervals are open.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    D = fld.D
+    B, family = _keyed_family(D, s.smooth_upto(k_max))
+    one = 1 << B
+    gaps = []
+    reach, by = 0, None  # the reach's key and the (j, k) that set it
+    for lo, k, j, hi in family:
+        if lo >= reach:
+            if lo > one:
+                break
+            gaps.append((by, SurdValue.endpoint(j, -1, k, D)))
+        if hi > reach:
+            reach, by = hi, (j, k)
+    if reach <= one:
+        gaps.append((by, _ONE))
+    return Residual(tuple(
+        (_ZERO if by is None else SurdValue.endpoint(by[0], +1, by[1], D), end) for by, end in gaps
+    ))

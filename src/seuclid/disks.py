@@ -4,17 +4,18 @@ Disk covers of the fundamental domain with radii 1/c or sqrt(p)/c
 (radius boost under congruence conditions), verified by one exact scan
 of per-column corner ranges at every subdivision level, plus the
 gap-line verifier used for d = 10 and d = 15, which derives from each
-alpha the span of the line it covers.
+alpha the quadratic bounding its S-norm distance along the line and
+checks coverage end by end with integer sign tests (`surd_sign`),
+never ordering two pieces' ends against each other.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .covering import Verdict, _sweep, residual
-from .exact import SSet, SurdValue, s_part_strip
+from .covering import Verdict, residual
+from .exact import SSet, SurdValue, s_part_strip, surd_sign
 from .field import KElement, QuadField, denom_s, make_field, s_norm
 
 __all__ = [
@@ -213,21 +214,12 @@ class GapLineCert:
 
     Its pieces speak for the points whose x has a denominator coprime to
     S (the bundle's p-orbit check moves the others onto such points);
-    verify_gap_line derives each BoundPiece's bound and span from
-    (field, S, y0, alpha).
+    verify_gap_line derives each BoundPiece's bound from
+    (field, S, y0, alpha), and its span's ends may lie in any radicand.
     """
 
     y0: Fraction
     pieces: tuple[BoundPiece | PointPiece, ...]
-
-
-class _Span(NamedTuple):
-    """Part of the gap line that one piece covers, as `_sweep` reads it."""
-
-    lo: SurdValue
-    hi: SurdValue
-    lo_closed: bool
-    hi_closed: bool
 
 
 def _line_point(fld: QuadField, x: Fraction, y0: Fraction) -> KElement:
@@ -251,22 +243,9 @@ def _piece_bound(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tupl
     return m, m * (h * tau - 2 * x0), m * (x0 * x0 - h * tau * x0 + e * tau * tau)
 
 
-def _piece_span(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tuple[SurdValue, SurdValue] | None:
-    """The open interval of x where the derived bound a2*x^2 + a1*x + a0
-    (_piece_bound) is below 1, between the roots (-a1 -/+ sqrt(disc))/(2*a2)
-    of bound = 1, disc = a1^2 - 4*a2*(a0 - 1); None when disc <= 0, as
-    the bound (a2 > 0) is then nowhere below 1."""
-    a2, a1, a0 = _piece_bound(fld, s, y0, alpha)
-    disc = a1 * a1 - 4 * a2 * (a0 - 1)
-    if disc <= 0:
-        return None
-    root = SurdValue(P=0, Q=1, m=disc.numerator * disc.denominator, M=disc.denominator)
-    return (-a1 - root) * (1 / (2 * a2)), (root - a1) * (1 / (2 * a2))
-
-
 def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
     """Verify every piece, then check that the bound pieces' spans and
-    the point checks cover [0, 1].
+    the point pieces cover [0, 1].
 
     Every alpha must be an S-integer; point pieces get an exact S-norm.
     A bound piece's quadratic is derived, not read: with alpha =
@@ -276,33 +255,60 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
     least g's, so N_S <= m*N(x - a/c + (y0 - b/c)*w) with
     m = c^2 * s_part_strip(g, S)/g.  (Points whose x has a factor from
     S in its denominator are left to the bundle's p-orbit check.)  The
-    piece covers the open span where that bound is below 1
-    (_piece_span); a piece with an empty span fails the line.
+    piece covers its span, where that bound is below 1: times a common
+    denominator, bound - 1 is q(x) = A*x^2 + B*x + C in integers, A > 0,
+    and the span lies between the roots (-B -/+ sqrt(disc))/(2*A),
+    disc = B^2 - 4*A*C.  A piece with disc <= 0 has no span and fails.
+
+    The ends are 0, 1 and every root.  [0, 1] is covered iff each end x
+    in [0, 1] is, and so is each side of x inside [0, 1]: for y in
+    [0, 1] no end, let e < y be the largest end; a span covering e's
+    right side starts at or below e and ends at an end above e, so past
+    y, and holds y.  A piece covers x when q(x) < 0, and when q(x) = 0
+    the side where q falls.  With x = (u + v*sqrt(m))/w,
+    w > 0 and v = m = 0 for rational x, w^2*q(x) = A*(u^2 + m) + B*u*w
+    + C*w^2 + v*(2*A*u + B*w)*sqrt(m) and w*q'(x) = 2*A*u + B*w +
+    2*A*v*sqrt(m).  So every test is one `surd_sign` in x's own radicand,
+    and no two pieces' ends are ever ordered against each other.
     """
-    if not cert.pieces:
-        return False
     if s_part_strip(cert.y0.denominator, s) != cert.y0.denominator:
         return False  # y0 denominator must be coprime to S
-    spans = []
+    points, quads, ends = set(), [], [(0, 0, 0, 1), (1, 0, 0, 1)]
     for piece in cert.pieces:
         if s_part_strip(piece.alpha.c, s) != 1:
             return False  # alpha must be an S-integer
         if isinstance(piece, PointPiece):
             if s_norm(_line_point(fld, piece.x, cert.y0) - piece.alpha, s) >= 1:
                 return False
-            x = SurdValue.rational(piece.x)
-            spans.append(_Span(x, x, True, True))
+            points.add(piece.x)
             continue
-        span = _piece_span(fld, s, cert.y0, piece.alpha)
-        if span is None:
-            return False
-        spans.append(_Span(*span, False, False))
-    radicands = {x.m for span in spans for x in (span.lo, span.hi)} - {0}
-    m0 = min(radicands, default=0)
-    if any(math.isqrt(m0 * m) ** 2 != m0 * m for m in radicands):
-        return False  # the span ends must share one radicand, up to a square, to compare
-    # in order of left end, closed before open on ties
-    return not _sweep(sorted(spans, key=lambda span: (span.lo, not span.lo_closed)))
+        a2, a1, a0 = _piece_bound(fld, s, cert.y0, piece.alpha)
+        n = math.lcm(a2.denominator, a1.denominator, a0.denominator)
+        A, B, C = (int(q * n) for q in (a2, a1, a0 - 1))
+        disc = B * B - 4 * A * C
+        if disc <= 0:
+            return False  # the bound is nowhere below 1
+        r = math.isqrt(disc)
+        quads.append((A, B, C))
+        ends += [(-B + v * r, 0, 0, 2 * A) if r * r == disc else (-B, v, disc, 2 * A) for v in (-1, 1)]
+    for u, v, m, w in ends:
+        above, below = surd_sign(u, v, m), surd_sign(w - u, -v, m)  # the signs of x and 1 - x
+        if above < 0 or below < 0:
+            continue
+        # x, its left side and its right side: covered, or not in [0, 1]
+        here, left, right = v == 0 and Fraction(u, w) in points, above == 0, below == 0
+        for A, B, C in quads:
+            t = 2 * A * u + B * w
+            value = surd_sign(A * (u * u + m) + B * u * w + C * w * w, v * t, m)
+            if value < 0:
+                break
+            if value == 0:
+                falls = surd_sign(t, 2 * A * v, m) < 0
+                right, left = right or falls, left or not falls
+        else:
+            if not (here and left and right):
+                return False
+    return True
 
 
 # --- built-in certificates -------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact arithmetic kernel.
 
-S-part stripping, Legendre symbols, squarefree tests, and one exact
-real type, :class:`SurdValue` = (P + Q*sqrt(m))/M in integers, for both
-the covering-interval ends and the gap-line piece ends, with its
-sign-exact comparison `surd_cmp`.  Everything works over plain integers
+S-part stripping, Legendre symbols, squarefree tests, the sign of
+P + Q*sqrt(m) from integers (`surd_sign`), and one exact real type,
+:class:`SurdValue` = (P + Q*sqrt(m))/M in integers, for the
+covering-interval ends and residual gaps, ordered by `surd_cmp` on top
+of `surd_sign`.  Everything works over plain integers
 and :class:`fractions.Fraction`; no floating point enters any
 certification path.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "s_norm_rational",
     "legendre",
     "surd_cmp",
+    "surd_sign",
 ]
 
 
@@ -169,17 +171,13 @@ def legendre(n: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 @dataclass(frozen=True, kw_only=True, eq=False, slots=True)
 class SurdValue:
     """The real number (P + Q*sqrt(m))/M, held exactly in integers.
 
     The covering-interval ends (j +/- sqrt(3/D))/k are
-    (j*D +/- sqrt(3*D))/(k*D) (see `endpoint`); gap-line ends such as
-    1/2 - sqrt(2)/6 are (3 - sqrt(2))/6.  The form is canonical: M >= 1,
+    (j*D +/- sqrt(3*D))/(k*D) (see `endpoint`), and 1/2 - sqrt(2)/6 is
+    (3 - sqrt(2))/6.  The form is canonical: M >= 1,
     gcd(P, Q, M) = 1, m = 0 exactly when Q = 0, and m is no perfect
     square (its root folds into P).  m keeps its square factors, so
     sqrt(8)/6 and sqrt(2)/3 are one number with two radicands: radicands
@@ -330,13 +328,20 @@ def _common(x: SurdValue, y: SurdValue) -> tuple[int, tuple[int, int, int]]:
     return m, over
 
 
+def surd_sign(P: int, Q: int, m: int) -> int:
+    """The sign of P + Q*sqrt(m) for integers P, Q and m >= 0: -1, 0 or
+    +1.  It is the sign of P*|P| + Q*|Q|*m, since t -> t*|t| is odd and
+    increasing and maps Q*sqrt(m) to Q*|Q|*m; m may be 0 or a square."""
+    t = P * abs(P) + Q * abs(Q) * m
+    return (t > 0) - (t < 0)
+
+
 def surd_cmp(x: SurdValue, y: SurdValue) -> int:
     """Exact order of two surd values: -1, 0 or +1.
 
-    x - y = (p + q*sqrt(m))/(x.M*y.M) for integers p, q; squaring happens
-    only after the two terms are confirmed opposite in sign, and then
-    p^2 != m*q^2, since the common radicand m is no square.  Raises
-    ValueError when the radicands are not equal up to a square.
+    x - y = (p + q*sqrt(m))/(x.M*y.M) for integers p, q over the common
+    radicand m, so its sign is `surd_sign(p, q, m)`.  Raises ValueError
+    when the radicands are not equal up to a square.
     """
     xM, yM = x.M, y.M
     if x.m == y.m:
@@ -347,8 +352,4 @@ def surd_cmp(x: SurdValue, y: SurdValue) -> int:
         m, (P, Q, M) = _common(x, y)
         p = x.P * M - P * xM
         q = x.Q * M - Q * xM
-    if p > 0:
-        return 1 if q >= 0 or p * p > m * q * q else -1
-    if p < 0:
-        return -1 if q <= 0 or p * p > m * q * q else 1
-    return _sign(q)
+    return surd_sign(p, q, m)

@@ -24,7 +24,6 @@ from seuclid.certs import (
 )
 from seuclid.covering import certify_euclidean, intervals, replay_chain, residual, theorem2_bound
 from seuclid.disks import (
-    _piece_span,
     certify_exceptional,
     find_uncovered_cell,
     gap_line_certificate,
@@ -33,6 +32,7 @@ from seuclid.disks import (
 from seuclid.exact import SSet, is_prime, primes_below, s_part_strip, squarefree
 from seuclid.field import make_field
 from seuclid.witness import certify_non_euclidean
+from surd_reference import MIXED_COVER, _piece_span
 
 
 def _sample_certs():
@@ -375,11 +375,15 @@ def _bound_piece(a, b, c):
 
 def test_verify_rejects_piece_with_another_radicand():
     # on the line y0 = 1/5 of d = 10 the span of alpha = -2 has ends in
-    # sqrt(15) and that of (-8 + w)/4 ends in sqrt(10): they cannot be compared
+    # sqrt(15) and that of (-8 + w)/4 ends in sqrt(10); both lie left of 0,
+    # so the two pieces leave [0, 1] uncovered
     obj = certificate_to_obj(certify_exceptional(10, 2))
     line = {"y0": {"num": "1", "den": "5"}, "pieces": [_bound_piece(-2, 0, 1), _bound_piece(-8, 1, 4)]}
     obj["payload"]["gap_lines"].append(line)
     assert verify_certificate_obj(obj) is False
+    # the same line with the covering pieces added verifies, radicands mixed
+    line["pieces"] += [_bound_piece(*alpha) for alpha in MIXED_COVER]
+    assert verify_certificate_obj(obj) is True
 
 
 def test_verify_accepts_radicand_equal_up_to_a_square():

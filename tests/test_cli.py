@@ -18,6 +18,7 @@ from seuclid.certs import (
 from seuclid.cli import main
 from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
 from seuclid.exact import primes_below
+from surd_reference import MIXED_COVER
 
 
 def test_check_euclidean(capsys):
@@ -162,19 +163,36 @@ def test_verify_bad_bundle_exit_3(tmp_path, capsys):
         assert "verification FAILED" in capsys.readouterr().out
 
 
-def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
-    # on the line y0 = 1/5 the span of alpha = -2 has ends in sqrt(15),
-    # that of (-8 + w)/4 ends in sqrt(10): no exact order, so exit 3
+def _verify_with_line(line, tmp_path, capsys):
+    """The exit code of `seuclid verify` on the (10, 2) bundle with `line`
+    appended, and its output."""
     path = tmp_path / "c.json"
     assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
     obj = json.loads(path.read_text())
-    obj["payload"]["gap_lines"].append(_MIXED_RADICAND_LINE)
+    obj["payload"]["gap_lines"].append(line)
     path.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 3
-    captured = capsys.readouterr()
+    return main(["verify", str(path)]), capsys.readouterr()
+
+
+def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
+    # on the line y0 = 1/5 the span of alpha = -2 has ends in sqrt(15),
+    # that of (-8 + w)/4 ends in sqrt(10); both lie left of 0, so the
+    # line is not covered: exit 3
+    code, captured = _verify_with_line(_MIXED_RADICAND_LINE, tmp_path, capsys)
+    assert code == 3
     assert "verification FAILED" in captured.out
     assert captured.err == ""
+    # with the covering pieces added the same line verifies
+    covered = dict(_MIXED_RADICAND_LINE, pieces=_MIXED_RADICAND_LINE["pieces"] + _MIXED_COVER_PIECES)
+    code, captured = _verify_with_line(covered, tmp_path, capsys)
+    assert code == 0 and captured.out.endswith(": valid\n")
+
+
+def test_verify_mixed_radicand_line_exit_0(tmp_path, capsys):
+    # a covering line whose span ends lie in sqrt(15) and sqrt(10)
+    code, captured = _verify_with_line({"y0": {"num": "1", "den": "5"}, "pieces": _MIXED_COVER_PIECES}, tmp_path, capsys)
+    assert code == 0 and captured.out.endswith(": valid\n") and captured.err == ""
 
 
 def _verify_forgery(argv, mutate, code, tmp_path, capsys):
@@ -202,6 +220,7 @@ def _bound_piece(a, b, c):
 
 
 _MIXED_RADICAND_LINE = {"y0": {"num": "1", "den": "5"}, "pieces": [_bound_piece(-2, 0, 1), _bound_piece(-8, 1, 4)]}
+_MIXED_COVER_PIECES = [_bound_piece(*alpha) for alpha in MIXED_COVER]
 
 
 def _rational(q):

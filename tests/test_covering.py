@@ -16,7 +16,6 @@ from seuclid.covering import (
     CoverCertificate,
     Interval,
     Verdict,
-    _sweep,
     covers_unit,
     certify_euclidean,
     intervals,
@@ -26,6 +25,7 @@ from seuclid.covering import (
 )
 from seuclid.exact import SSet, SurdValue, primes_below, squarefree, surd_cmp
 from seuclid.field import make_field
+from surd_reference import _open, _sweep
 
 S0 = SSet()
 S2 = SSet.of(2)
@@ -307,7 +307,7 @@ def _surd_replay(D, chain):
         if surd_cmp(iv.hi, reach) <= 0:
             return False
         reach = iv.hi
-    return not _sweep(ivs)
+    return not _sweep(_open(ivs))
 
 
 def _farey(n):
@@ -448,6 +448,25 @@ def test_residual_length_nonincreasing(k):
     before = residual(fld, S2, k).total_length()
     after = residual(fld, S2, 2 * k).total_length()
     assert after <= before
+
+
+@pytest.mark.parametrize("k_max", [0, -1, -64])
+def test_residual_needs_positive_k_max(k_max):
+    with pytest.raises(ValueError):
+        residual(make_field(10), S2, k_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([d for d in range(1, 401) if squarefree(d)]),
+    st.sets(st.sampled_from((2, 3, 5, 7))),
+    st.integers(min_value=1, max_value=128),
+)
+def test_residual_matches_the_surd_sweep(d, primes, k_max):
+    """The gaps read off the integer cover keys are the surd sweep's, end
+    for end, over the same family."""
+    fld, s = make_field(d), SSet.from_iterable(primes)
+    assert residual(fld, s, k_max).gaps == tuple(_sweep(_open(intervals(fld, s, k_max))))
 
 
 def test_cover_monotone_in_smoothness():

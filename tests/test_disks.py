@@ -1,11 +1,13 @@
 """Disk-cover verification and gap-line certificate tests."""
+import functools
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seuclid import disks
@@ -25,6 +27,7 @@ from seuclid.disks import (
     Disk,
     DiskCertificate,
     ExceptionalBundle,
+    GapLineCert,
     PointPiece,
     _corner_inside,
     _corner_range,
@@ -32,7 +35,6 @@ from seuclid.disks import (
     _orbit_keeps_gaps_apart,
     _line_point,
     _piece_bound,
-    _piece_span,
     boost_radius,
     certify_exceptional,
     find_uncovered_cell,
@@ -45,6 +47,7 @@ from seuclid.disks import (
 )
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.exact import SSet, SurdValue, primes_below, s_part_strip, squarefree
+from surd_reference import MIXED_COVER, _mp_gap_line, _piece_span, _sweep_gap_line
 
 F35 = make_field(35)
 S5 = SSet.of(5)
@@ -329,6 +332,18 @@ def test_gap_line_rejects_missing_point_piece(x):
     assert not verify_gap_line(make_field(15), SSet.of(3), replace(cert, pieces=pieces))
 
 
+def test_gap_line_rejects_spans_that_only_touch_a_gap():
+    # on y0 = 1/2 of d = 15, w covers (0, 1/2) and 1 + w covers (1, 3/2):
+    # with the point pieces at 0, 1/2 and 1 each end is covered, but the
+    # span ending at 1/2 covers only its left side, so (1/2, 1) is open
+    fld, s, cert = make_field(15), SSet.of(3), gap_line_certificate(15, 3)
+    touching = BoundPiece(KElement(1, 1, 1, fld))
+    assert _piece_span(fld, s, cert.y0, touching.alpha) == (1, Fraction(3, 2))
+    pieces = (cert.pieces[0], touching) + cert.pieces[2:]
+    assert not verify_gap_line(fld, s, replace(cert, pieces=pieces))
+    assert verify_gap_line(fld, s, replace(cert, pieces=cert.pieces + (touching,)))
+
+
 def test_gap_line_ignores_pieces_beyond_one():
     # alpha = (4 + w)/2 covers |x - 2| < sqrt(2)/3, past the end of [0, 1]
     fld = make_field(10)
@@ -336,6 +351,101 @@ def test_gap_line_ignores_pieces_beyond_one():
     beyond = BoundPiece(KElement(4, 1, 2, fld))
     assert _piece_span(fld, SSet.of(2), cert.y0, beyond.alpha)[0] > 1
     assert verify_gap_line(fld, SSet.of(2), replace(cert, pieces=cert.pieces + (beyond,)))
+
+
+@functools.cache
+def _mixed_line():
+    """A line of d = 10, S = {2} at y0 = 1/5 whose span ends lie in
+    sqrt(10) and sqrt(15): every S-integer alpha = (a + b*w)/c with
+    c in {1, 2, 4, 8}, -c - 1 <= a <= 2c + 1 and |b| <= 3c whose span
+    meets [0, 1]: the pieces of MIXED_COVER."""
+    fld, s, y0 = make_field(10), SSet.of(2), Fraction(1, 5)
+    alphas = {
+        KElement(a, b, c, fld)
+        for c in (1, 2, 4, 8) for a in range(-c - 1, 2 * c + 2) for b in range(-3 * c, 3 * c + 1)
+    }
+    spans = {alpha: _piece_span(fld, s, y0, alpha) for alpha in alphas}
+    pieces = sorted(
+        (BoundPiece(alpha) for alpha, span in spans.items() if span and span[1] > 0 and span[0] < 1),
+        key=lambda piece: (piece.alpha.c, piece.alpha.a, piece.alpha.b),
+    )
+    return fld, s, GapLineCert(y0=y0, pieces=tuple(pieces))
+
+
+def test_mixed_radicand_line_verifies():
+    fld, s, cert = _mixed_line()
+    assert [(pc.alpha.a, pc.alpha.b, pc.alpha.c) for pc in cert.pieces] == MIXED_COVER
+    radicands = {x.m for piece in cert.pieces for x in _piece_span(fld, s, cert.y0, piece.alpha)}
+    assert {min(m // (f * f) for f in range(1, 40) if m % (f * f) == 0) for m in radicands} == {10, 15}
+    assert _sweep_gap_line(fld, s, cert) is None  # the surd sweep cannot order these ends
+    assert _mp_gap_line(fld, s, cert) is True
+    assert verify_gap_line(fld, s, cert)
+    # without w/4 and (4 + w)/4 the line still covers, and then the ends
+    # near 0 and 1 rest on alpha = 0 and 1, whose span ends lie in sqrt(15)
+    both = replace(cert, pieces=cert.pieces[:2] + cert.pieces[3:6])
+    assert verify_gap_line(fld, s, both) and _mp_gap_line(fld, s, both)
+    for i in (0, 1):
+        without = replace(both, pieces=both.pieces[:i] + both.pieces[i + 1:])
+        assert not verify_gap_line(fld, s, without) and not _mp_gap_line(fld, s, without)
+
+
+def test_long_gap_line_verifies_fast():
+    # the two outer (10, 2) pieces repeated to 255, and the middle piece,
+    # which completes the cover, last: 514 ends against 256 pieces
+    fld, s, cert = make_field(10), SSet.of(2), gap_line_certificate(10, 2)
+    pieces = (cert.pieces[:2] * 128)[:255] + cert.pieces[2:]
+    assert len(pieces) == 256
+    start = time.perf_counter()
+    assert verify_gap_line(fld, s, replace(cert, pieces=pieces))
+    assert time.perf_counter() - start < 1.0
+    assert not verify_gap_line(fld, s, replace(cert, pieces=pieces[:-1]))
+
+
+def _extra_alphas(fld, p):
+    return st.builds(
+        lambda e, a, b: KElement(a, b, p**e, fld),
+        st.integers(min_value=0, max_value=3), st.integers(min_value=-30, max_value=60),
+        st.integers(min_value=-30, max_value=30),
+    )
+
+
+@st.composite
+def _edited_lines(draw):
+    """A built-in gap line with each piece dropped, kept or doubled, a few
+    extra bound pieces with c in {1, p, p^2, p^3}, in any order."""
+    d, p = draw(st.sampled_from([(10, 2), (15, 3), (15, 5)]))
+    fld, s, cert = make_field(d), SSet.of(p), gap_line_certificate(d, p)
+    pieces = [pc for pc in cert.pieces for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
+    pieces += [BoundPiece(alpha) for alpha in draw(st.lists(_extra_alphas(fld, p), max_size=3))]
+    return fld, s, replace(cert, pieces=tuple(draw(st.permutations(pieces))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_lines())
+def test_gap_line_matches_the_surd_sweep(case):
+    """On lines whose span ends share one radicand up to a square, the
+    end-by-end check agrees with the sort-and-sweep over surd spans."""
+    fld, s, cert = case
+    expected = _sweep_gap_line(fld, s, cert)
+    assume(expected is not None)
+    assert verify_gap_line(fld, s, cert) == expected
+
+
+@st.composite
+def _mixed_lines(draw):
+    """The mixed-radicand line of d = 10 at y0 = 1/5 with pieces dropped,
+    doubled and added, in any order."""
+    fld, s, cert = _mixed_line()
+    pieces = [pc for pc in cert.pieces for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2])))]
+    pieces += [BoundPiece(alpha) for alpha in draw(st.lists(_extra_alphas(fld, 2), max_size=3))]
+    return fld, s, replace(cert, pieces=tuple(draw(st.permutations(pieces))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_lines())
+def test_mixed_radicand_gap_line_matches_mpmath(case):
+    fld, s, cert = case
+    assert verify_gap_line(fld, s, cert) == _mp_gap_line(fld, s, cert)
 
 
 # the paper's bounds: 2x^2+5/9, 2(1-x)^2+5/9, 8(x-1/2)^2+5/9 for (10, 2),

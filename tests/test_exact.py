@@ -19,6 +19,7 @@ from seuclid.exact import (
     s_part_strip,
     squarefree,
     surd_cmp,
+    surd_sign,
 )
 
 S2 = SSet.of(2)
@@ -344,3 +345,34 @@ def test_quadsurd_sign_matches_mpmath(a, b):
                + (b.numerator / mpmath.mpf(b.denominator)) * mpmath.sqrt(3))
         expected = 0 if abs(val) < mpmath.mpf("1e-30") else int(mpmath.sign(val))
     assert surd_cmp(q, ZERO) == expected
+
+
+def test_surd_sign_examples():
+    assert surd_sign(0, 0, 0) == surd_sign(0, 5, 0) == surd_sign(0, 0, 7) == 0
+    assert surd_sign(-3, 2, 2) == -1  # 2*sqrt(2) < 3
+    assert surd_sign(-3, 2, 3) == 1  # 2*sqrt(3) > 3
+    assert surd_sign(-6, 3, 4) == 0 and surd_sign(-7, 3, 4) == -1 and surd_sign(7, -3, 4) == 1
+    assert surd_sign(5, 0, 3) == 1 and surd_sign(0, -1, 3) == -1 and surd_sign(-5, 9, 0) == -1
+    # sqrt(2) against its continued-fraction convergent 665857/470832, from above
+    assert surd_sign(-665857, 470832, 2) == -1 and surd_sign(-665856, 470832, 2) == 1
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6)),
+    st.one_of(st.just(0), st.integers(min_value=-10**3, max_value=10**3)),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=10**3).map(lambda r: r * r),
+              st.integers(min_value=0, max_value=10**6)),
+)
+def test_surd_sign_matches_a_reference(P, Q, m):
+    r = math.isqrt(m)
+    if r * r == m:
+        value = Fraction(P + Q * r)
+        expected = (value > 0) - (value < 0)
+    else:
+        # |P + Q*sqrt(m)| >= 1/|P - Q*sqrt(m)| > 1e-10 unless P = Q = 0
+        with mpmath.workdps(60):
+            value = P + Q * mpmath.sqrt(m)
+            expected = 0 if abs(value) < mpmath.mpf("1e-30") else int(mpmath.sign(value))
+    assert surd_sign(P, Q, m) == expected
+    assert surd_sign(-P, -Q, m) == -expected

@@ -24,11 +24,13 @@ API = types.SimpleNamespace(
 
 def test_tracer_counts_the_surd_kernel_and_restores_it():
     chain = list(covering.certify_euclidean(make_field(67), SSet.of(2, 3)).chain)
-    originals = (exact.surd_cmp, covering.surd_cmp, exact.SurdValue.__post_init__, covering.residual)
+    bundle = disks.certify_exceptional(10, 2)
+    originals = (exact.surd_cmp, exact.SurdValue.__post_init__, covering.residual)
     tracer = _load_tracer().Tracer(API)
     tracer.install()
     try:
         covering.residual(make_field(10), SSet.of(2), 64)
+        assert disks.verify_exceptional_bundle(bundle)
         assert covering.replay_chain(67, chain)
     finally:
         tracer.uninstall()
@@ -36,7 +38,7 @@ def test_tracer_counts_the_surd_kernel_and_restores_it():
     assert counts["exact.surd_cmp.calls"] > 0
     assert counts["exact.SurdValue.calls"] > 0
     assert {"covering.residual", "covering.replay_chain"} <= {span[0] for span in spans}
-    restored = (exact.surd_cmp, covering.surd_cmp, exact.SurdValue.__post_init__, covering.residual)
+    restored = (exact.surd_cmp, exact.SurdValue.__post_init__, covering.residual)
     assert all(now is before for now, before in zip(restored, originals))
 
 
