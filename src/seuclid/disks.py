@@ -258,7 +258,9 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
     piece covers its span, where that bound is below 1: times a common
     denominator, bound - 1 is q(x) = A*x^2 + B*x + C in integers, A > 0,
     and the span lies between the roots (-B -/+ sqrt(disc))/(2*A),
-    disc = B^2 - 4*A*C.  A piece with disc <= 0 has no span and fails.
+    disc = B^2 - 4*A*C.  A piece with disc <= 0 has no span and fails; a
+    piece whose (A, B, C) equals an earlier one's has its span, and is
+    skipped after its S-integer check.
 
     The ends are 0, 1 and every root.  [0, 1] is covered iff each end x
     in [0, 1] is, and so is each side of x inside [0, 1]: for y in
@@ -284,12 +286,15 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
             continue
         a2, a1, a0 = _piece_bound(fld, s, cert.y0, piece.alpha)
         n = math.lcm(a2.denominator, a1.denominator, a0.denominator)
-        A, B, C = (int(q * n) for q in (a2, a1, a0 - 1))
+        quad = tuple(int(q * n) for q in (a2, a1, a0 - 1))
+        if quad in quads:
+            continue  # an equal quadratic has the same span
+        A, B, C = quad
         disc = B * B - 4 * A * C
         if disc <= 0:
             return False  # the bound is nowhere below 1
         r = math.isqrt(disc)
-        quads.append((A, B, C))
+        quads.append(quad)
         ends += [(-B + v * r, 0, 0, 2 * A) if r * r == disc else (-B, v, disc, 2 * A) for v in (-1, 1)]
     for u, v, m, w in ends:
         above, below = surd_sign(u, v, m), surd_sign(w - u, -v, m)  # the signs of x and 1 - x

@@ -43,12 +43,6 @@ class QuadField:
         """N(A + B*w) = A^2 + h*A*B + e*B^2."""
         return A * (A + self.h * B) + self.e * B * B
 
-    def is_inert(self, p: int) -> bool:
-        """True iff the prime p is inert in K: N(A + B*w) = 0 (mod p)
-        only at A = B = 0 (mod p).  A zero with B != 0 scales to B = 1,
-        so this asks that A^2 + h*A + e have no root mod p."""
-        return all(self.norm_form(A, 1) % p for A in range(p))
-
     def element(self, a: int, b: int = 0, c: int = 1) -> "KElement":
         return KElement(a, b, c, self)
 

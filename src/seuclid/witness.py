@@ -7,8 +7,8 @@ bounds: the exact minimum over a grid of S-integers, found by a scan
 that skips only points it proves cannot lower the minimum.  Per row it
 visits a window of b where the norm is below the best, plus the residue
 classes of b mod p where p divides the norm, tabled once per grid
-level.  Above level 0, an inert p prime to the denominator of xi0 needs
-only the window.
+level.  Above level 0 the class a = b = 0 (mod p) is left out: its points
+are the points of the level below.
 """
 from __future__ import annotations
 
@@ -141,13 +141,11 @@ def oracle_min_snorm(
     improvement.  The first row, before any best exists, is scanned in
     full.
 
-    When p is inert in K, N(x + y*w) = 0 (mod p) only for x = y = 0
-    (mod p).  If moreover p does not divide c0, then at n >= 1 (where
-    x = -a*c0 and y = -b*c0 mod p) p | v(b) forces p | a and p | b, so
-    alpha = (a/p + (b/p)*w)/p^(n-1) is a grid point of level n - 1 with
-    the same value, scanned before it: never a strict improvement.  So
-    above level 0 an inert p has no class, only the window.  If p | c0,
-    every point of level n >= 1 has p | v, and the classes are kept.
+    At level n >= 1 the class a = b = 0 (mod p) is left out, for every
+    p and every c0: such an alpha is (a/p + (b/p)*w)/p^(n-1), a grid
+    point of level n - 1 with the same value, which comes before it in
+    (n, a, b) order, so it is never a strict improvement.  For p inert
+    in K and prime to c0 no class is left: p | v forces p | a, p | b.
     """
     if n_max < 0 or coeff_max < 1:
         raise ValueError("oracle bounds must be positive")
@@ -162,19 +160,19 @@ def oracle_min_snorm(
     lo, hi = -coeff_max, coeff_max
     full = range(lo, hi + 1)
     head = range(lo, min(lo + p, hi + 1))  # one value from each class mod p
-    inert = fld.is_inert(p) and c0 % p != 0  # then no class above level 0
     m = 2 * e * c0
     best = None  # the least stripped value so far, at best_alpha
     for n in range(n_max + 1):
         pn = p**n
         y0 = b0 * pn  # y = y0 - b*c0
-        # the classes of b mod p where p | v, keyed by a mod p
+        # the classes of b mod p where p | v, keyed by a mod p; above
+        # level 0 not a = b = 0 (mod p), the points of level n - 1
         classes = {}
-        if not (n and inert):
-            for a in head:
-                x = a0 * pn - a * c0
-                classes[a % p] = [range(b, hi + 1, p) for b in head
-                                  if fld.norm_form(x, y0 - b * c0) % p == 0]
+        for a in head:
+            x = a0 * pn - a * c0
+            classes[a % p] = [range(b, hi + 1, p) for b in head
+                              if fld.norm_form(x, y0 - b * c0) % p == 0
+                              and not (n and a % p == b % p == 0)]
         for a in full:
             x = a0 * pn - a * c0
             # N(x + y*w) = x^2 + y*(h*x + e*y)

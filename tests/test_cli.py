@@ -140,6 +140,15 @@ ORACLE_GOLDEN = {
         "xi0 = (1+w)/2; grid n <= 3, |a|,|b| <= 20\n"
         "min S-norm found: 5/4 at alpha = -13+14w\n"
     ),
+    # 2 and 3 ramify: above level 0 the classes but a = b = 0 (mod p)
+    "14 2 --nmax 4 --coeff 60": (
+        "xi0 = (1+w)/3; grid n <= 4, |a|,|b| <= 60\n"
+        "min S-norm found: 1 at alpha = -21+11w\n"
+    ),
+    "15 3 --nmax 4 --coeff 60": (
+        "xi0 = (1+w)/2; grid n <= 4, |a|,|b| <= 60\n"
+        "min S-norm found: 1/2 at alpha = -40-40w\n"
+    ),
 }
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seuclid import covering
@@ -358,6 +358,60 @@ def _mangled_farey_chains(draw):
 def test_replay_chain_matches_the_surd_replay(case):
     D, chain = case
     assert replay_chain(D, chain) == _surd_replay(D, chain)
+
+
+def _raiser(D, chain, i, k0):
+    """A link (j, k), k > k0, 0 <= j <= k, gcd(j, k) = 1, whose interval
+    holds the reach of chain[i] and ends before the next link's end, so
+    it keeps the chain valid right after chain[i]; None if no k up to
+    5*k0 + 8 has one.  Floats only pick the link: both replays are exact."""
+    r = math.sqrt(3 / D)
+    reach = (chain[i][0] + r) / chain[i][1]
+    end = (chain[i + 1][0] + r) / chain[i + 1][1] if i + 1 < len(chain) else math.inf
+    for k in range(k0 + 1, 5 * k0 + 9):
+        j = math.floor(k * reach + r)
+        if j <= k and math.gcd(j, k) == 1 and (j - r) / k < reach < (j + r) / k < end:
+            return j, k
+    return None
+
+
+@st.composite
+def _farey_with_inserted_links(draw):
+    """(D, chain): F_k0 with links of k > k0 inserted, each one either
+    right after the link whose reach it raises (the chain stays valid)
+    or any link anywhere (it mostly breaks)."""
+    d = draw(st.one_of(st.sampled_from([1, 3]), st.sampled_from(SQUAREFREE_3000)))
+    D = make_field(d).D
+    k0 = math.isqrt(D // 3)
+    chain = _farey(k0)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(chain) - 1))
+        link = _raiser(D, chain, i, k0) if draw(st.booleans()) else None
+        if link is None:
+            k = draw(st.integers(min_value=k0 + 1, max_value=3 * k0 + 3))
+            link = (draw(st.integers(min_value=0, max_value=k)), k)
+        chain.insert(i + 1, link)
+    return D, chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(_farey_with_inserted_links())
+@example((67, [(0, 1), (1, 5), (1, 4), (1, 3), (1, 2), (2, 3), (5, 7), (3, 4), (1, 1)]))
+@example((20, [(0, 1), (1, 3), (1, 2), (1, 1)]))
+def test_replay_chain_of_farey_with_inserted_links(case):
+    D, chain = case
+    assert replay_chain(D, chain) == _surd_replay(D, chain)
+
+
+def test_inserted_raisers_keep_farey_chains_valid():
+    for D in (4, 20, 67, 163, 2372):
+        k0 = math.isqrt(D // 3)
+        chain = _farey(k0)
+        for i in range(len(chain) - 1):
+            link = _raiser(D, chain, i, k0)
+            assert link is not None, (D, i)
+            raised = chain[:i + 1] + [link] + chain[i + 1:]
+            assert replay_chain(D, raised) and _surd_replay(D, raised), (D, link)
 
 
 @pytest.mark.parametrize("D", [3, 4, 20, 67, 11996])

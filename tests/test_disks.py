@@ -46,7 +46,7 @@ from seuclid.disks import (
     verify_gap_line,
 )
 from seuclid.field import KElement, make_field, s_norm
-from seuclid.exact import SSet, SurdValue, primes_below, s_part_strip, squarefree
+from seuclid.exact import SSet, SurdValue, primes_below, s_part_strip, squarefree, surd_sign
 from surd_reference import MIXED_COVER, _mp_gap_line, _piece_span, _sweep_gap_line
 
 F35 = make_field(35)
@@ -399,6 +399,25 @@ def test_long_gap_line_verifies_fast():
     assert verify_gap_line(fld, s, replace(cert, pieces=pieces))
     assert time.perf_counter() - start < 1.0
     assert not verify_gap_line(fld, s, replace(cert, pieces=pieces[:-1]))
+
+
+def test_repeated_pieces_add_no_sign_tests(monkeypatch):
+    """The 256-piece line above has 3 distinct quadratics, so it costs no
+    more sign tests than the 3-piece line."""
+    fld, s, cert = make_field(10), SSet.of(2), gap_line_certificate(10, 2)
+    pieces = (cert.pieces[:2] * 128)[:255] + cert.pieces[2:]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return surd_sign(*args)
+
+    monkeypatch.setattr(disks, "surd_sign", counting)
+    assert verify_gap_line(fld, s, cert)
+    distinct = len(calls)
+    calls.clear()
+    assert verify_gap_line(fld, s, replace(cert, pieces=pieces))
+    assert 0 < len(calls) <= distinct
 
 
 def _extra_alphas(fld, p):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from seuclid.covering import CoverCertificate, Verdict, certify_euclidean
 from seuclid.disks import EXCEPTIONAL_PAIRS
-from seuclid.exact import SSet, legendre, squarefree
+from seuclid.exact import SSet, squarefree
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.witness import (
     CaseTag,
@@ -213,6 +213,10 @@ def _oracle_inputs(draw):
 @example((1, 3, KElement(1, 1, 3, make_field(1)), 3, 8))  # 3 inert and divides c: classes kept
 @example((11, 2, KElement(1, 1, 3, make_field(11)), 3, 8))  # 2 inert
 @example((10, 5, KElement(1, 1, 2, make_field(10)), 3, 8))  # 5 ramifies and divides e
+@example((13, 2, KElement(1, 1, 3, make_field(13)), 3, 8))  # 2 ramifies, d odd
+@example((14, 2, KElement(1, 1, 3, make_field(14)), 3, 8))  # 2 ramifies, d even
+@example((7, 2, KElement(1, 1, 3, make_field(7)), 3, 8))  # 2 splits, prime to c
+@example((17, 13, KElement(1, 1, 2, make_field(17)), 2, 3))  # coeff_max < p
 def test_oracle_equals_full_grid_scan(args):
     assert oracle_min_snorm(*args) == _oracle_grid_reference(*args)
 
@@ -225,16 +229,6 @@ def test_oracle_equals_full_grid_scan_on_witnesses():
         cert = certify_non_euclidean(d, p)
         assert isinstance(cert, WitnessCertificate)
         assert oracle_min_snorm(d, p, cert.xi0, 4, 60) == _oracle_grid_reference(d, p, cert.xi0, 4, 60)
-
-
-def test_is_inert_matches_legendre():
-    for d in range(1, 201):
-        if not squarefree(d):
-            continue
-        fld = make_field(d)
-        for p in (2, 3, 5, 7, 11, 13):
-            inert = (-d) % 8 == 5 if p == 2 else legendre(-d, p) == -1
-            assert fld.is_inert(p) == inert, (d, p)
 
 
 def test_oracle_reports_first_minimizer():
