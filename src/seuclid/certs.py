@@ -46,12 +46,16 @@ SCHEMA_VERSION = "3.0"
 # MAX_D is a parse error before the trial divisions of `squarefree` and
 # `is_prime`.  After parsing, a cover costs O(links + sum of pi(k)) over
 # its distinct k: a gcd per link, one S-strip per distinct k, which stops
-# at the first prime of s above k, and the replay.
+# at the first prime of s above k, and the replay.  Before any parsing, a
+# file over MAX_FILE_BYTES is rejected after reading at most one byte
+# more than the cap: the largest file the producer writes, the cover of
+# d = 999,994 (405,325 links), takes 21.1 MB from `save_certificate`.
 MAX_BUNDLE_K_MAX = 4096
 MAX_SUBDIVISION_DEPTH = 1000
 MAX_DISKS = 256
 MAX_GAP_LINE_PIECES = 256
 MAX_D = 10**6
+MAX_FILE_BYTES = 32 * 2**20
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -60,6 +64,7 @@ __all__ = [
     "MAX_DISKS",
     "MAX_GAP_LINE_PIECES",
     "MAX_D",
+    "MAX_FILE_BYTES",
     "CertificateParseError",
     "certificate_to_obj",
     "certificate_from_obj",
@@ -333,8 +338,21 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 
 def load_certificate_obj(path: str) -> Any:
+    """The JSON object in the file at `path`; a file over MAX_FILE_BYTES
+    is a parse error, found by reading at most one byte more."""
+    parts, left = [], MAX_FILE_BYTES + 1
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        with open(path, "rb") as fh:
+            # 64 KiB at a time: one read of the cap's size would allocate
+            # a buffer that large for every file
+            while left and (part := fh.read(min(left, 1 << 16))):
+                parts.append(part)
+                left -= len(part)
+    except OSError as exc:
+        raise CertificateParseError(f"cannot read certificate file: {exc}") from exc
+    if not left:
+        raise CertificateParseError(f"certificate file exceeds MAX_FILE_BYTES = {MAX_FILE_BYTES}")
+    try:
+        return json.loads(b"".join(parts).decode())
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError
         raise CertificateParseError(f"cannot read certificate file: {exc}") from exc

@@ -174,8 +174,7 @@ def find_uncovered_cell(cert: DiskCertificate) -> tuple[int, int, int] | None:
     n = cert.subdivision_depth
     if n < 1:
         raise ValueError("subdivision_depth must be positive")
-    disks = cert.disks
-    fld = disks[0].center.field if disks else make_field(cert.d)
+    fld, disks = make_field(cert.d), cert.disks
     for iu, iv in _outside_cells(fld, disks, n, 0, 0, n):
         if not _holds(fld, disks, iu, iv, n, MAX_REFINE):
             return iu, iv, n

@@ -6,6 +6,7 @@ domain F = {x + y*w : 0 <= x, y <= 1}.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +59,19 @@ class QuadField:
         return f"Q(sqrt(-{self.d}))"
 
 
+@functools.lru_cache(maxsize=1024)
 def make_field(d: int) -> QuadField:
+    """The one shared QuadField for d, built on the first call.
+
+    The decision pipeline and the checker ask for the same few fields
+    again and again (a survey of the squarefree d <= 200 for four S
+    decides each d several times), so each d is checked for squarefreeness
+    and built once, and the frozen field is reused after that.  The
+    cache holds at most 1024 fields, least recently used first out, so
+    a stream of untrusted certificate files with distinct d cannot grow
+    it for good.  A ValueError (d < 1, or d not squarefree) is not
+    cached: every such call raises it again.
+    """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if not squarefree(d):

@@ -6,9 +6,9 @@ S-norm-Euclidean.  A bounded oracle cross-validates the analytic
 bounds: the exact minimum over a grid of S-integers, found by a scan
 that skips only points it proves cannot lower the minimum.  Per row it
 visits a window of b where the norm is below the best, plus the residue
-classes of b mod p where p divides the norm, tabled once per grid
-level.  Above level 0 the class a = b = 0 (mod p) is left out: its points
-are the points of the level below.
+classes of b mod p where p divides the norm, tabled at level 0 and once
+for every level above it.  Above level 0 the class a = b = 0 (mod p) is
+left out: its points are the points of the level below.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .covering import Verdict
 from .disks import EXCEPTIONAL_PAIRS
-from .exact import SSet, is_prime, legendre, s_part_strip, squarefree
+from .exact import SSet, is_prime, legendre, s_part_strip
 from .field import KElement, make_field
 
 __all__ = [
@@ -90,9 +90,9 @@ def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | Verdic
 def certify_non_euclidean(d: int, p: int) -> WitnessCertificate | Verdict:
     """Certify that Q(sqrt(-d)) is not {p}-norm-Euclidean, when the
     case analysis gives a bound >= 1; otherwise return the Verdict of
-    `witness_bound` (p splits) or an "unknown" one."""
-    if not (d > 0 and squarefree(d)):
-        raise ValueError(f"d must be a squarefree positive integer, got {d}")
+    `witness_bound` (p splits) or an "unknown" one.  A d that is not a
+    squarefree positive integer raises make_field's ValueError."""
+    make_field(d)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     dispatch = witness_bound(d, p)
@@ -135,8 +135,11 @@ def oracle_min_snorm(
     off by isqrt, empty when 4e*t - D*x^2 <= 0.  Where p divides v(b)
     the whole residue class of b mod p is scanned.  Whether p | v(b)
     depends only on x and y mod p, so at level n only on a mod p and
-    b mod p: the classes are tabled once per level, for one a of each
-    class, and a row with no class and an empty window is skipped.
+    b mod p: the classes are tabled for one a of each class, and a row
+    with no class and an empty window is skipped.  At n >= 1,
+    x = -a*c0 and y = -b*c0 (mod p), which do not depend on n, so the
+    classes are tabled at level 0 and once at level 1, and the level-1
+    table serves every level above 0.
     Every skipped point has a stripped value >= t, so it is not a strict
     improvement.  The first row, before any best exists, is scanned in
     full.
@@ -144,8 +147,9 @@ def oracle_min_snorm(
     At level n >= 1 the class a = b = 0 (mod p) is left out, for every
     p and every c0: such an alpha is (a/p + (b/p)*w)/p^(n-1), a grid
     point of level n - 1 with the same value, which comes before it in
-    (n, a, b) order, so it is never a strict improvement.  For p inert
-    in K and prime to c0 no class is left: p | v forces p | a, p | b.
+    (n, a, b) order, so it is never a strict improvement.  Which pairs
+    are left out does not depend on n either.  For p inert in K and
+    prime to c0 no class is left: p | v forces p | a, p | b.
     """
     if n_max < 0 or coeff_max < 1:
         raise ValueError("oracle bounds must be positive")
@@ -165,14 +169,16 @@ def oracle_min_snorm(
     for n in range(n_max + 1):
         pn = p**n
         y0 = b0 * pn  # y = y0 - b*c0
-        # the classes of b mod p where p | v, keyed by a mod p; above
-        # level 0 not a = b = 0 (mod p), the points of level n - 1
-        classes = {}
-        for a in head:
-            x = a0 * pn - a * c0
-            classes[a % p] = [range(b, hi + 1, p) for b in head
-                              if fld.norm_form(x, y0 - b * c0) % p == 0
-                              and not (n and a % p == b % p == 0)]
+        if n <= 1:
+            # the classes of b mod p where p | v, keyed by a mod p; above
+            # level 0 not a = b = 0 (mod p), the points of level n - 1.
+            # The level-1 table serves every level above 0.
+            classes = {}
+            for a in head:
+                x = a0 * pn - a * c0
+                classes[a % p] = [range(b, hi + 1, p) for b in head
+                                  if fld.norm_form(x, y0 - b * c0) % p == 0
+                                  and not (n and a % p == b % p == 0)]
         for a in full:
             x = a0 * pn - a * c0
             # N(x + y*w) = x^2 + y*(h*x + e*y)

@@ -5,8 +5,9 @@ import pkgutil
 
 import seuclid
 import seuclid.cli
-from seuclid.classify import decide
+from seuclid.classify import decide, survey_rows
 from seuclid.exact import SSet, squarefree
+from seuclid.field import make_field
 
 # sha256 over one line "d primes kind reason" per (d, S) below, recorded
 # before decide moved out of the CLI module
@@ -25,6 +26,20 @@ def test_decide_verdicts_pinned():
                 count += 1
     assert count == 732
     assert digest.hexdigest() == PINNED_DECIDE_DIGEST
+
+
+def test_survey_builds_each_field_once():
+    """The paper's survey, decide for S = {p}, p <= 7, and squarefree
+    d <= 200 plus its four Euclidean tables, builds Q(sqrt(-d)) once
+    per distinct d."""
+    ds = [d for d in range(1, 201) if squarefree(d)]
+    make_field.cache_clear()
+    for p in (2, 3, 5, 7):
+        for d in ds:
+            decide(d, SSet.of(p))
+    for primes, d_max in (((), 11), ((2,), 23), ((2, 3), 71), ((2, 3, 5), 143)):
+        survey_rows(SSet.from_iterable(primes), d_max)
+    assert make_field.cache_info().misses == len(ds) == 122
 
 
 def test_all_exports_resolve():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from seuclid import certs
 from seuclid.certs import (
     MAX_BUNDLE_K_MAX,
     MAX_D,
@@ -575,3 +576,20 @@ def test_verify_huge_d_or_prime_exit_1_at_once(forge, tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     assert time.perf_counter() - start < 1
     assert str(MAX_D) in capsys.readouterr().err
+
+
+def test_verify_file_over_byte_cap_exit_1(tmp_path, monkeypatch, capsys):
+    # a valid file padded with trailing whitespace to exactly the cap
+    # verifies; one byte more is a parse error before any JSON parsing
+    path = tmp_path / "c.json"
+    assert main(["check", "67", "--s", "2,3", "--cert", str(path)]) == 0
+    text = path.read_text()
+    cap = len(text) + 100  # the file is ASCII: one byte per character
+    monkeypatch.setattr(certs, "MAX_FILE_BYTES", cap)
+    path.write_text(text + " " * (cap - len(text)))
+    assert path.stat().st_size == cap
+    assert main(["verify", str(path)]) == 0
+    path.write_text(text + " " * (cap + 1 - len(text)))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert f"MAX_FILE_BYTES = {cap}" in capsys.readouterr().err

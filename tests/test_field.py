@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seuclid.exact import SSet
-from seuclid.field import KElement, denom_s, make_field, norm, reduce_to_fundamental, s_norm
+from seuclid.exact import SSet, squarefree
+from seuclid.field import KElement, QuadField, denom_s, make_field, norm, reduce_to_fundamental, s_norm
 
 S2 = SSet.of(2)
 S3 = SSet.of(3)
@@ -31,6 +31,31 @@ def test_make_field():
         make_field(12)
     with pytest.raises(ValueError):
         make_field(0)
+
+
+def test_make_field_shares_one_field_per_d():
+    assert make_field(35) is make_field(35)
+    assert make_field(35) == QuadField(d=35, D=35, half_basis=True, h=1, e=9)
+    assert make_field(10) == QuadField(d=10, D=40, half_basis=False, h=0, e=10)
+
+
+@pytest.mark.parametrize("d", [0, -3, 12])
+def test_make_field_errors_are_not_cached(d):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make_field(d)
+
+
+def test_make_field_cache_is_bounded():
+    bound = make_field.cache_info().maxsize
+    assert bound == 1024
+    ds = [d for d in range(1, 3001) if squarefree(d)]
+    assert len(ds) > bound
+    make_field.cache_clear()
+    for d in ds:
+        make_field(d)
+        assert make_field.cache_info().currsize <= bound
+    assert make_field.cache_info().currsize == bound
 
 
 def test_element_canonical_form():

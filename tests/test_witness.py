@@ -87,6 +87,10 @@ def test_certify_input_validation():
     with pytest.raises(ValueError):
         certify_non_euclidean(12, 2)
     with pytest.raises(ValueError):
+        certify_non_euclidean(0, 2)
+    with pytest.raises(ValueError):
+        certify_non_euclidean(4, 3)
+    with pytest.raises(ValueError):
         certify_non_euclidean(5, 4)
 
 
@@ -217,6 +221,8 @@ def _oracle_inputs(draw):
 @example((14, 2, KElement(1, 1, 3, make_field(14)), 3, 8))  # 2 ramifies, d even
 @example((7, 2, KElement(1, 1, 3, make_field(7)), 3, 8))  # 2 splits, prime to c
 @example((17, 13, KElement(1, 1, 2, make_field(17)), 2, 3))  # coeff_max < p
+@example((1, 3, KElement(1, 1, 3, make_field(1)), 4, 10))  # 3 divides c: one table for n >= 1
+@example((13, 13, KElement(1, 1, 2, make_field(13)), 3, 20))  # 13 ramifies, coeff_max > p
 def test_oracle_equals_full_grid_scan(args):
     assert oracle_min_snorm(*args) == _oracle_grid_reference(*args)
 
