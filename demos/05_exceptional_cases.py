@@ -6,10 +6,17 @@ certificate handles the missed lines.  For (35,5) and (35,7) a finite
 list of disks, some with radius boosted from 1/c to sqrt(p)/c, covers
 the fundamental domain outright.
 """
-from fractions import Fraction
+import math
 
 from seuclid import SSet, certify_exceptional, make_field, residual
 from seuclid.disks import verify_disk_cert
+
+
+def approx(end, D):
+    """A gap end (a, b, c) = (a + b*sqrt(3/D))/c as a float, for display."""
+    a, b, c = end
+    return (a + b * math.sqrt(3 / D)) / c
+
 
 # the residual gaps contract onto {1/3, 2/3} as k_max grows
 fld = make_field(10)
@@ -17,7 +24,7 @@ s = SSet.of(2)
 print("d = 10, S = {2}: residual gaps around 1/3 and 2/3")
 for t in (3, 5, 7):
     res = residual(fld, s, 2**t)
-    widths = [(hi - lo).approx() for lo, hi in res.gaps]
+    widths = [approx(hi, res.D) - approx(lo, res.D) for lo, hi in res.gaps]
     print(f"  k_max = 2^{t}: {len(res.gaps)} gaps, widths {[f'{w:.2e}' for w in widths]}")
 
 bundle = certify_exceptional(10, 2)

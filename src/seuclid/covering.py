@@ -10,10 +10,12 @@ in `certify_euclidean`), so the certificate needs no search.  Exact
 integer endpoint keys order the family, and one greedy sweep over those
 keys (`_key_chain`) builds every cover chain, the certificate's and
 `covers_unit`'s.  The keys compare exactly as the endpoints do, so
-`residual` reads the uncovered gaps off the same sorted keys too, and
-only the gap ends become `SurdValue`s.  `seuclid verify` replays each
-chain with `replay_chain`, exact integer sign tests on (j, k, D) that
-share no ordering code with the keys.
+`residual` reads the uncovered gaps off the same sorted keys too.  Its
+gap ends, like a failed `covers_unit`'s first uncovered point, are
+integer ends (a, b, c) = (a + b*sqrt(3/D))/c, the reach format of
+`replay_chain`, which `exact.surd_sign` compares.  `seuclid verify`
+replays each chain with `replay_chain`, exact integer sign tests on
+(j, k, D) that share no ordering code with the keys.
 
 Produced chains share their links: every certificate that links I_j^k
 holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
@@ -44,6 +46,11 @@ __all__ = [
     "residual",
     "replay_chain",
 ]
+
+
+# (a, b, c) with c >= 1 and b in (-1, 0, 1) is the end (a + b*sqrt(3/D))/c:
+# 0 is (0, 0, 1), 1 is (1, 0, 1), and I_j^k runs from (j, -1, k) to (j, 1, k)
+End = tuple[int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,26 +91,22 @@ class Verdict:
     The certifiers return one with `certificate=None` when they produce
     no certificate: kind "not-applicable" when p splits, "unknown"
     otherwise.  A failed `covers_unit` sets `at` to the first uncovered
-    point.
+    point, as an end (see `End`).
     """
 
     kind: str  # euclidean-cover | euclidean-exceptional | non-euclidean | not-applicable | unknown
     certificate: object | None
     reason: str
-    at: SurdValue | None = None
+    at: End | None = None
 
 
 @dataclass(frozen=True)
 class Residual:
-    """Maximal closed gaps of [0, 1] not covered by any interval."""
+    """Maximal closed gaps of [0, 1] not covered by any interval with
+    discriminant D, each a (left, right) pair of ends (see `End`)."""
 
-    gaps: tuple[tuple[SurdValue, SurdValue], ...]
-
-    def total_length(self) -> SurdValue:
-        return sum((hi - lo for lo, hi in self.gaps), _ZERO)
-
-
-_ZERO, _ONE = SurdValue.rational(0), SurdValue.rational(1)
+    D: int
+    gaps: tuple[tuple[End, End], ...]
 
 
 def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
@@ -202,8 +205,10 @@ def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCe
     chain = _key_chain(family, 1 << B)
     if chain and chain[-1][3] > 1 << B:
         return _certificate(chain, d, s)
-    at = SurdValue.endpoint(chain[-1][2], +1, chain[-1][1], D) if chain else _ZERO
-    return Verdict("unknown", None, f"first uncovered point {at}", at=at)
+    if not chain:
+        return Verdict("unknown", None, "first uncovered point 0", at=(0, 0, 1))
+    _, k, j, _ = chain[-1]
+    return Verdict("unknown", None, f"first uncovered point ({j} + sqrt(3/{D}))/{k}", at=(j, 1, k))
 
 
 # the shared producer links: _LINKS[k][j] is the one (j, k) tuple
@@ -321,6 +326,8 @@ def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     is covered, reach the largest right end so far (0 at first); an
     interval whose left end is not below it leaves the gap [reach, left
     end], one point when the two are equal, as the intervals are open.
+    Each end is read off the interval that sets it: the reach is 0 or a
+    right end (j, 1, k), a gap closes at a left end (j, -1, k) or at 1.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -328,16 +335,14 @@ def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     B, family = _keyed_family(D, s.smooth_upto(k_max))
     one = 1 << B
     gaps = []
-    reach, by = 0, None  # the reach's key and the (j, k) that set it
+    reach, end = 0, (0, 0, 1)  # the reach's key and its end
     for lo, k, j, hi in family:
         if lo >= reach:
             if lo > one:
                 break
-            gaps.append((by, SurdValue.endpoint(j, -1, k, D)))
+            gaps.append((end, (j, -1, k)))
         if hi > reach:
-            reach, by = hi, (j, k)
+            reach, end = hi, (j, 1, k)
     if reach <= one:
-        gaps.append((by, _ONE))
-    return Residual(tuple(
-        (_ZERO if by is None else SurdValue.endpoint(by[0], +1, by[1], D), end) for by, end in gaps
-    ))
+        gaps.append((end, (1, 0, 1)))
+    return Residual(D, tuple(gaps))

@@ -6,7 +6,10 @@ of per-column corner ranges at every subdivision level, plus the
 gap-line verifier used for d = 10 and d = 15, which derives from each
 alpha the quadratic bounding its S-norm distance along the line and
 checks coverage end by end with integer sign tests (`surd_sign`),
-never ordering two pieces' ends against each other.
+never ordering two pieces' ends against each other.  The bundle check
+places each gap rational and follows y -> p*y across the residual gaps
+on their integer ends (a + b*sqrt(3/D))/c, with `surd_sign` and an
+exact integer floor.
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import Verdict, residual
-from .exact import SSet, SurdValue, s_part_strip, surd_sign
+from .covering import End, Verdict, residual
+from .exact import SSet, s_part_strip, surd_sign
 from .field import KElement, QuadField, denom_s, make_field, s_norm
 
 __all__ = [
@@ -84,19 +87,6 @@ def boost_radius(fld: QuadField, s: SSet, alpha: KElement) -> Fraction:
         ):
             return Fraction(p, c * c)
     return Fraction(1, c * c)
-
-
-def _corner_inside(fld: QuadField, disk: Disk, iu: int, iv: int, den: int) -> bool:
-    """Is the point (iu/den) + (iv/den)*w strictly inside the disk?
-    Pure integer comparison of squared distances; the tests' reference
-    for _corner_range."""
-    a, b, c = disk.center.a, disk.center.b, disk.center.c
-    su = iu * c - a * den
-    tv = iv * c - b * den
-    q = su * (su + fld.h * tv) + fld.e * tv * tv
-    m2 = den * den * c * c
-    r = disk.r_squared
-    return q * r.denominator < r.numerator * m2
 
 
 MAX_REFINE = 4  # four-way splits of a cell no disk holds before it fails
@@ -422,18 +412,49 @@ class ExceptionalBundle:
     gap_lines: tuple[GapLineCert, ...]
 
 
-def _orbit_keeps_gaps_apart(p: int, around: dict[Fraction, tuple[SurdValue, SurdValue]]) -> bool:
+def _side(D: int, y: Fraction, end: End) -> int:
+    """The sign of y - (a + b*sqrt(3/D))/c for end = (a, b, c): with
+    y = u/v, times c*v*D > 0 that is D*(u*c - a*v) - b*v*sqrt(3*D)."""
+    a, b, c = end
+    u, v = y.numerator, y.denominator
+    return surd_sign(D * (u * c - a * v), -b * v, 3 * D)
+
+
+def _floor(P: int, Q: int, M: int, D: int) -> int:
+    """floor((P + Q*sqrt(3/D))/M) for M >= 1.  That is x/(M*D) with
+    x = P*D + Q*sqrt(3*D), and s = isqrt(3*D*Q^2) <= |Q|*sqrt(3*D) < s + 1,
+    with equality only when 3*D*Q^2 is a square.  So x lies strictly
+    between two consecutive integers, P*D + s and one above for Q > 0,
+    P*D - s - 1 and one above for Q < 0, or is P*D + s*sign(Q); and no
+    multiple of M*D lies strictly between two consecutive integers."""
+    t = 3 * D * Q * Q
+    s = math.isqrt(t)
+    if Q < 0:
+        s = -s - (s * s != t)
+    return (P * D + s) // (M * D)
+
+
+def _orbit_keeps_gaps_apart(D: int, p: int, around: dict[Fraction, tuple[End, End]]) -> bool:
     """For each residual gap G around its rational r, with r' = p*r mod 1
     and G' the gap around r': the image r' + p*(G - r) of G under
     y -> p*y meets no gap H + n, for integers n, other than G' itself
     (n = 0).  So the orbit argument may follow each missed line from G
-    to G' alone."""
-    for r, (lo, hi) in around.items():
-        r2 = p * r % 1
-        a, b = r2 + p * (lo - r), r2 + p * (hi - r)
-        for h, (h_lo, h_hi) in around.items():
-            # [a, b] + n meets [h_lo, h_hi] exactly for h_lo - b <= n <= h_hi - a
-            for n in range(-math.floor(b - h_lo), math.floor(h_hi - a) + 1):
+    to G' alone.
+
+    The gaps' ends share D.  With t = floor(p*r) the image is p*G - t,
+    and [p*lo - t, p*hi - t] + n meets [h_lo, h_hi] exactly for
+    t - floor(p*hi - h_lo) <= n <= t + floor(h_hi - p*lo).  For ends
+    (a, b, c) and (e, f, g), p*(a + b*q)/c - (e + f*q)/g is
+    ((p*a*g - e*c) + (p*b*g - f*c)*q)/(c*g) with q = sqrt(3/D), so each
+    bound is one exact `_floor`.
+    """
+    for r, ((a0, b0, c0), (a1, b1, c1)) in around.items():
+        t = p * r.numerator // r.denominator
+        r2 = p * r - t
+        for h, ((e0, f0, g0), (e1, f1, g1)) in around.items():
+            first = t - _floor(p * a1 * g0 - e0 * c1, p * b1 * g0 - f0 * c1, c1 * g0, D)
+            last = t + _floor(e1 * c0 - p * a0 * g1, f1 * c0 - p * b0 * g1, c0 * g1, D)
+            for n in range(first, last + 1):
                 if (h, n) != (r2, 0):
                     return False
     return True
@@ -449,7 +470,7 @@ def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
     # every claimed point lies in a gap
     around = {}
     for lo, hi in residual(fld, s, bundle.k_max).gaps:
-        inside = [y for y in rationals if lo <= y <= hi]
+        inside = [y for y in rationals if _side(fld.D, y, lo) >= 0 >= _side(fld.D, y, hi)]
         if len(inside) != 1:
             return False
         around[inside[0]] = (lo, hi)
@@ -468,7 +489,7 @@ def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
             orbit = (bundle.p * orbit) % 1
         else:
             return False
-    if not _orbit_keeps_gaps_apart(bundle.p, around):
+    if not _orbit_keeps_gaps_apart(fld.D, bundle.p, around):
         return False
     return all(verify_gap_line(fld, s, cert) for cert in bundle.gap_lines)
 

@@ -1,10 +1,11 @@
 """Exact arithmetic kernel.
 
-S-part stripping, Legendre symbols, squarefree tests, the sign of
-P + Q*sqrt(m) from integers (`surd_sign`), and one exact real type,
-:class:`SurdValue` = (P + Q*sqrt(m))/M in integers, for the
-covering-interval ends and residual gaps, ordered by `surd_cmp` on top
-of `surd_sign`.  Everything works over plain integers
+S-part stripping, Legendre symbols, squarefree tests, and the sign of
+P + Q*sqrt(m) from integers (`surd_sign`), on which every exact
+comparison of the pipeline rests.  One exact real type,
+:class:`SurdValue` = (P + Q*sqrt(m))/M in integers, holds the ends of
+`covering.Interval`, ordered by `surd_cmp` on top of `surd_sign`; it
+has no arithmetic.  Everything works over plain integers
 and :class:`fractions.Fraction`; no floating point enters any
 certification path.
 """
@@ -184,8 +185,8 @@ class SurdValue:
     whose product is a square share one, and a single isqrt decides it.
     Numbers whose radicands are not equal up to a square are unequal,
     since sqrt(m) and sqrt(m') are then independent over Q; ordering
-    and arithmetic across them raise ValueError.  ints and Fractions mix
-    in as rationals.
+    across them raises ValueError.  ints and Fractions compare as
+    rationals.
     """
 
     P: int
@@ -199,8 +200,6 @@ class SurdValue:
             raise ValueError(f"need M >= 1 and m >= 0, got M = {M}, m = {m}")
         r = math.isqrt(m)
         if r * r != m:
-            if Q == 1 or Q == -1:
-                return  # already canonical: gcd(P, Q, M) = 1
             if Q == 0:
                 m = 0
         else:
@@ -215,15 +214,7 @@ class SurdValue:
         an end of the covering interval I_j^k, or j/k with s = 0."""
         if s not in (-1, 0, 1) or k < 1 or D < 3:
             raise ValueError(f"not an interval end: j = {j}, s = {s}, k = {k}, D = {D}")
-        # the hot path builds the fields as the generated __init__ does,
-        # without its keyword-argument dict
-        value = _new(cls)
-        _set(value, "P", j * D)
-        _set(value, "Q", s)
-        _set(value, "m", 3 * D)
-        _set(value, "M", k * D)
-        value.__post_init__()
-        return value
+        return cls(P=j * D, Q=s, m=3 * D, M=k * D)
 
     @classmethod
     def rational(cls, q: Fraction | int) -> "SurdValue":
@@ -233,34 +224,6 @@ class SurdValue:
     def approx(self) -> float:
         """Floating approximation, for rendering and display only."""
         return (self.P + self.Q * math.sqrt(self.m)) / self.M
-
-    def __add__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
-        m, (P, Q, M) = _common(self, _coerce(other))
-        return SurdValue(P=self.P * M + P * self.M, Q=self.Q * M + Q * self.M, m=m, M=self.M * M)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SurdValue":
-        return SurdValue(P=-self.P, Q=-self.Q, m=self.m, M=self.M)
-
-    def __sub__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
-        return self + -_coerce(other)
-
-    def __rsub__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
-        return -self + other
-
-    def __mul__(self, other: "SurdValue | Fraction | int") -> "SurdValue":
-        m, (P, Q, M) = _common(self, _coerce(other))
-        return SurdValue(P=self.P * P + self.Q * Q * m, Q=self.P * Q + self.Q * P, m=m, M=self.M * M)
-
-    __rmul__ = __mul__
-
-    def __floor__(self) -> int:
-        # m is no square, so Q*sqrt(m) lies in [t, t + 1) for the integer t
-        # below; then self lies in [(P + t)/M, (P + t + 1)/M), and no
-        # integer exceeds floor((P + t)/M) there
-        s = math.isqrt(self.Q * self.Q * self.m)
-        return (self.P + (s if self.Q >= 0 else -s - 1)) // self.M
 
     def __lt__(self, other: "SurdValue | Fraction | int") -> bool:
         return surd_cmp(self, _coerce(other)) < 0
@@ -298,9 +261,6 @@ class SurdValue:
         return f"({self.P} {'+' if self.Q > 0 else '-'} {root})/{self.M}"
 
 
-_new, _set = object.__new__, object.__setattr__
-
-
 def _coerce(value: SurdValue | Fraction | int) -> SurdValue:
     return value if isinstance(value, SurdValue) else SurdValue.rational(value)
 
@@ -317,17 +277,6 @@ def _over(y: SurdValue, m: int) -> tuple[int, int, int] | None:
     return y.P * m, y.Q * r, y.M * m
 
 
-def _common(x: SurdValue, y: SurdValue) -> tuple[int, tuple[int, int, int]]:
-    """One radicand m for x and y, and y's (P, Q, M) over it (x's are its
-    own fields); ValueError when the radicands are not equal up to a
-    square."""
-    m = x.m or y.m
-    over = _over(y, m)
-    if over is None:
-        raise ValueError(f"mismatched radicands: {x.m} != {y.m}")
-    return m, over
-
-
 def surd_sign(P: int, Q: int, m: int) -> int:
     """The sign of P + Q*sqrt(m) for integers P, Q and m >= 0: -1, 0 or
     +1.  It is the sign of P*|P| + Q*|Q|*m, since t -> t*|t| is odd and
@@ -339,17 +288,14 @@ def surd_sign(P: int, Q: int, m: int) -> int:
 def surd_cmp(x: SurdValue, y: SurdValue) -> int:
     """Exact order of two surd values: -1, 0 or +1.
 
-    x - y = (p + q*sqrt(m))/(x.M*y.M) for integers p, q over the common
-    radicand m, so its sign is `surd_sign(p, q, m)`.  Raises ValueError
-    when the radicands are not equal up to a square.
+    Over the common radicand m, x - y = (p + q*sqrt(m))/(x.M*M) for
+    integers p, q, with y = (P + Q*sqrt(m))/M, so its sign is
+    `surd_sign(p, q, m)`.  Raises ValueError when the radicands are not
+    equal up to a square.
     """
-    xM, yM = x.M, y.M
-    if x.m == y.m:
-        m = x.m
-        p = x.P * yM - y.P * xM
-        q = x.Q * yM - y.Q * xM
-    else:
-        m, (P, Q, M) = _common(x, y)
-        p = x.P * M - P * xM
-        q = x.Q * M - Q * xM
-    return surd_sign(p, q, m)
+    m = x.m or y.m
+    over = _over(y, m)
+    if over is None:
+        raise ValueError(f"mismatched radicands: {x.m} != {y.m}")
+    P, Q, M = over
+    return surd_sign(x.P * M - P * x.M, x.Q * M - Q * x.M, m)

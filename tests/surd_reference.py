@@ -1,20 +1,24 @@
-"""Surd references for the covering and gap-line properties.
+"""References for the covering, gap-line, bundle and disk properties.
 
 `_sweep` is the exact sort-and-sweep over `SurdValue` ends that once
 served both `residual` and `verify_gap_line`; `_piece_span` derives a
 bound piece's span as `SurdValue`s.  The library now computes residual
-gaps from the integer cover keys and checks gap lines end by end with
-`surd_sign`; the properties compare both against these references, and
-lines whose span ends mix radicands against a 60-digit mpmath sweep.
-`MIXED_COVER` is such a line.
+gaps from the integer cover keys as integer ends (a, b, c) =
+(a + b*sqrt(3/D))/c and checks gap lines end by end with `surd_sign`;
+the properties compare both against these references (`surd_gaps` maps
+ends to `SurdValue`s), and lines whose span ends mix radicands against a
+60-digit mpmath sweep.  `MIXED_COVER` is such a line.  `_orbit_reference`
+is the bundle's orbit check by its definition, and `_corner_inside` the
+corner-by-corner reference for the disk scan's corner ranges.
 """
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
 
 from seuclid.disks import PointPiece, _line_point, _piece_bound
-from seuclid.exact import SurdValue, s_part_strip, surd_cmp
+from seuclid.exact import SurdValue, s_part_strip, surd_cmp, surd_sign
 from seuclid.field import s_norm
 
 _ZERO, _ONE = SurdValue.rational(0), SurdValue.rational(1)
@@ -80,8 +84,12 @@ def _piece_span(fld, s, y0, alpha):
     disc = a1 * a1 - 4 * a2 * (a0 - 1)
     if disc <= 0:
         return None
-    root = SurdValue(P=0, Q=1, m=disc.numerator * disc.denominator, M=disc.denominator)
-    return (-a1 - root) * (1 / (2 * a2)), (root - a1) * (1 / (2 * a2))
+    # sqrt(disc) = sqrt(m)/e, and (-a1 -/+ sqrt(m)/e)/(2*a2) is
+    # (P -/+ t*sqrt(m))/M times a1.denominator*a2.denominator
+    e = disc.denominator
+    m, t = disc.numerator * e, a1.denominator * a2.denominator
+    P, M = -a1.numerator * e * a2.denominator, 2 * a2.numerator * e * a1.denominator
+    return SurdValue(P=P, Q=-t, m=m, M=M), SurdValue(P=P, Q=t, m=m, M=M)
 
 
 def _pieces_checked(fld, s, cert):
@@ -147,3 +155,64 @@ def _mp_gap_line(fld, s, cert, dps=60):
             if reach > 1 + eps:
                 return True
         return False
+
+
+def surd_gaps(res):
+    """The gaps of a `Residual` with each integer end as a `SurdValue`."""
+    return tuple(tuple(SurdValue.endpoint(*end, res.D) for end in gap) for gap in res.gaps)
+
+
+def end_sign(x, y, D):
+    """The sign of x + y*sqrt(3/D) for Fractions x and y, by `surd_sign`:
+    times n*D, n the least common denominator, it is
+    x*n*D + y*n*sqrt(3*D)."""
+    n = math.lcm(x.denominator, y.denominator)
+    return surd_sign(int(x * n * D), int(y * n), 3 * D)
+
+
+def gap_length(gaps):
+    """The exact total length of residual gaps, pairs of integer ends, as
+    the pair (x, y) of Fractions with length x + y*sqrt(3/D)."""
+    x = y = Fraction(0)
+    for (a0, b0, c0), (a1, b1, c1) in gaps:
+        x += Fraction(a1, c1) - Fraction(a0, c0)
+        y += Fraction(b1, c1) - Fraction(b0, c0)
+    return x, y
+
+
+def _orbit_reference(D, p, around):
+    """`_orbit_keeps_gaps_apart` by its definition, with no floor: the
+    image r' + p*(G - r) of each gap G around r, r' = p*r mod 1, shifted
+    by every n with |n| <= p + 1, against every gap H, by exact
+    comparisons of ends held as x + y*sqrt(3/D) with Fractions x, y.
+    Gaps inside [0, 1] have images inside [-p, p + 1], so no other n
+    meets one."""
+    def value(end):
+        a, b, c = end
+        return Fraction(a, c), Fraction(b, c)
+
+    for r, (lo, hi) in around.items():
+        r2 = p * r % 1
+        (x0, y0), (x1, y1) = value(lo), value(hi)
+        for h, (h_lo, h_hi) in around.items():
+            (u0, v0), (u1, v1) = value(h_lo), value(h_hi)
+            for n in range(-p - 1, p + 2):
+                # the image shifted by n is [r2 + p*(lo - r) + n, r2 + p*(hi - r) + n]
+                start, stop = r2 + p * (x0 - r) + n, r2 + p * (x1 - r) + n
+                meets = end_sign(u1 - start, v1 - p * y0, D) >= 0 and end_sign(stop - u0, p * y1 - v0, D) >= 0
+                if meets and (h, n) != (r2, 0):
+                    return False
+    return True
+
+
+def _corner_inside(fld, disk, iu, iv, den):
+    """Is the point (iu/den) + (iv/den)*w strictly inside the disk?
+    Pure integer comparison of squared distances; the reference for
+    `disks._corner_range`."""
+    a, b, c = disk.center.a, disk.center.b, disk.center.c
+    su = iu * c - a * den
+    tv = iv * c - b * den
+    q = su * (su + fld.h * tv) + fld.e * tv * tv
+    m2 = den * den * c * c
+    r = disk.r_squared
+    return q * r.denominator < r.numerator * m2

@@ -46,6 +46,7 @@ from seuclid.witness import (
     certify_non_euclidean,
     oracle_min_snorm,
 )
+from surd_reference import end_sign, gap_length, surd_gaps
 
 EUCLIDEAN_TABLE = {
     (): [1, 2, 3, 7, 11],
@@ -172,12 +173,12 @@ def test_criterion_08_residual_contraction():
     lengths = []
     for t in range(2, 9):
         res = residual(fld, s, 2**t)
-        for lo, hi in res.gaps:
+        for lo, hi in surd_gaps(res):
             third = any(lo <= y <= hi for y in (Fraction(1, 3), Fraction(2, 3)))
             assert third, f"gap at k_max = 2^{t} misses 1/3 and 2/3"
-        lengths.append(res.total_length())
-    for before, after in zip(lengths, lengths[1:]):
-        assert after < before
+        lengths.append(gap_length(res.gaps))
+    for (x0, y0), (x1, y1) in zip(lengths, lengths[1:]):
+        assert end_sign(x1 - x0, y1 - y0, fld.D) < 0
 
 
 def test_criterion_09_oracle_cross_check():

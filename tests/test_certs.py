@@ -22,7 +22,7 @@ from seuclid.certs import (
     save_certificate,
     verify_certificate_obj,
 )
-from seuclid.covering import certify_euclidean, intervals, replay_chain, residual, theorem2_bound
+from seuclid.covering import certify_euclidean, replay_chain, residual, theorem2_bound
 from seuclid.disks import (
     certify_exceptional,
     find_uncovered_cell,
@@ -291,16 +291,12 @@ def test_schema_1_0_bundle_still_verifies():
     obj = certificate_to_obj(certify_exceptional(10, 2))
     obj["schema_version"] = "1.0"
     fld, k_max = make_field(10), obj["payload"]["k_max"]
-    ivs = intervals(fld, SSet.of(2), k_max)
-    legacy = []
-    for lo, hi in residual(fld, SSet.of(2), k_max).gaps:
-        # a gap runs from the right end of one interval to the left end of another
-        left = next(iv for iv in ivs if iv.hi == lo)
-        right = next(iv for iv in ivs if iv.lo == hi)
-        legacy.append([
-            {"j": left.j, "s": 1, "k": left.k, "D": fld.D},
-            {"j": right.j, "s": -1, "k": right.k, "D": fld.D},
-        ])
+    # a gap runs from the right end (j, 1, k) of one interval to the left
+    # end (j, -1, k) of another
+    legacy = [
+        [{"j": j, "s": side, "k": k, "D": fld.D} for j, side, k in gap]
+        for gap in residual(fld, SSet.of(2), k_max).gaps
+    ]
     obj["payload"]["gaps"] = legacy
     quadratics = [(2, 0, Fraction(5, 9)), (2, -4, Fraction(23, 9)), (8, -8, Fraction(23, 9))]
     for piece, coefficients in zip(obj["payload"]["gap_lines"][0]["pieces"], quadratics):

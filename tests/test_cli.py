@@ -56,11 +56,15 @@ def test_check_unknown_exit_2(capsys):
     assert main(["check", "5"]) == 2
 
 
-def test_invalid_inputs_exit_1(capsys):
+def test_invalid_inputs_exit_1(tmp_path, capsys):
     assert main(["check", "12", "--s", "2"]) == 1
     assert main(["check", "5", "--s", "4"]) == 1
     assert main(["check", "5", "--s", "x"]) == 1
     assert main(["table", "--s", "2", "--dmax", "0"]) == 1
+    assert main(["render", "12", "-o", str(tmp_path / "fig.svg")]) == 1
+    assert not (tmp_path / "fig.svg").exists()
+    assert main(["oracle", "12", "2"]) == 1
+    assert main(["check", "0"]) == 1
 
 
 def test_check_writes_verifiable_cert(tmp_path, capsys):

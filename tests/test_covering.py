@@ -25,7 +25,7 @@ from seuclid.covering import (
 )
 from seuclid.exact import SSet, SurdValue, primes_below, squarefree, surd_cmp
 from seuclid.field import make_field
-from surd_reference import _open, _sweep
+from surd_reference import _open, _sweep, end_sign, gap_length, surd_gaps
 
 S0 = SSet()
 S2 = SSet.of(2)
@@ -171,7 +171,7 @@ def _check_against_surd_greedy(ivs, d, s):
     chain, at = _surd_greedy(ivs)
     if chain is None:
         assert isinstance(result, Verdict) and result.kind == "unknown"
-        assert result.at == at
+        assert SurdValue.endpoint(*result.at, ivs[0].D) == at
     else:
         assert isinstance(result, CoverCertificate)
         assert result.chain == chain
@@ -228,7 +228,8 @@ def test_covers_unit_tied_right_ends_take_the_first():
     assert cert.chain == ((0, 2), (1, 2), (2, 2)) == _surd_greedy(ivs)[0]
     # without I_2^2 the reach stalls at the first link's end, 1 = (1 + 1)/2
     fail = covers_unit(ivs[:3], d=3, s=S23)
-    assert fail.at == SurdValue.endpoint(1, +1, 2, fld.D) == _surd_greedy(ivs[:3])[1]
+    assert fail.at == (1, 1, 2)
+    assert SurdValue.endpoint(*fail.at, fld.D) == _surd_greedy(ivs[:3])[1]
 
 
 def test_covers_unit_d3():
@@ -250,7 +251,8 @@ def test_covers_unit_failure_d10():
     for k_max in (4, 16, 64):
         res = covers_unit(intervals(make_field(10), S2, k_max), d=10, s=S2)
         assert isinstance(res, Verdict) and res.certificate is None and res.kind == "unknown"
-        assert res.at < Fraction(1, 3)
+        assert res.at == residual(make_field(10), S2, k_max).gaps[0][0]
+        assert SurdValue.endpoint(*res.at, 40) < Fraction(1, 3)
     empty = covers_unit([])
     assert isinstance(empty, Verdict) and empty.certificate is None and empty.kind == "unknown"
     assert empty.at is None and empty.reason
@@ -470,38 +472,41 @@ def test_residual_empty_when_covered():
 
 
 def test_residual_d15():
-    gaps = residual(make_field(15), SSet.of(3), 81).gaps
-    assert len(gaps) == 1
-    lo, hi = gaps[0]
+    res = residual(make_field(15), SSet.of(3), 81)
+    assert res.D == 15 and len(res.gaps) == 1
+    lo, hi = surd_gaps(res)[0]
     assert lo <= Fraction(1, 2) <= hi
-    gaps5 = residual(make_field(15), SSet.of(5), 125).gaps
+    gaps5 = surd_gaps(residual(make_field(15), SSet.of(5), 125))
     assert len(gaps5) == 1
     lo, hi = gaps5[0]
     assert lo <= Fraction(1, 2) <= hi
 
 
 def test_residual_d10():
-    gaps = residual(make_field(10), S2, 64).gaps
-    assert len(gaps) == 2
+    res = residual(make_field(10), S2, 64)
+    assert len(res.gaps) == 2
     targets = [Fraction(1, 3), Fraction(2, 3)]
-    for (lo, hi), t in zip(gaps, targets):
+    for (lo, hi), t, gap in zip(surd_gaps(res), targets, res.gaps):
         assert lo <= t <= hi
-        assert hi - lo < Fraction(1, 100)
+        x, y = gap_length([gap])
+        assert end_sign(x - Fraction(1, 100), y, res.D) < 0
 
 
 def test_residual_symmetric():
+    # y -> 1 - y maps the end (a, b, c) to (c - a, -b, c), the ends of the
+    # mirrored intervals, and reverses the order of the gaps
     for d, s, k in ((10, S2, 16), (15, SSet.of(3), 27)):
         gaps = residual(make_field(d), s, k).gaps
-        mirrored = sorted(((1 - hi, 1 - lo) for lo, hi in gaps), key=lambda g: g[0])
+        mirrored = [((c1 - a1, -b1, c1), (c0 - a0, -b0, c0)) for (a0, b0, c0), (a1, b1, c1) in reversed(gaps)]
         assert mirrored == list(gaps)
 
 
 @given(st.sampled_from([4, 8, 16, 32, 64, 128]))
 def test_residual_length_nonincreasing(k):
     fld = make_field(10)
-    before = residual(fld, S2, k).total_length()
-    after = residual(fld, S2, 2 * k).total_length()
-    assert after <= before
+    x0, y0 = gap_length(residual(fld, S2, k).gaps)
+    x1, y1 = gap_length(residual(fld, S2, 2 * k).gaps)
+    assert end_sign(x1 - x0, y1 - y0, fld.D) <= 0
 
 
 @pytest.mark.parametrize("k_max", [0, -1, -64])
@@ -520,7 +525,7 @@ def test_residual_matches_the_surd_sweep(d, primes, k_max):
     """The gaps read off the integer cover keys are the surd sweep's, end
     for end, over the same family."""
     fld, s = make_field(d), SSet.from_iterable(primes)
-    assert residual(fld, s, k_max).gaps == tuple(_sweep(_open(intervals(fld, s, k_max))))
+    assert surd_gaps(residual(fld, s, k_max)) == tuple(_sweep(_open(intervals(fld, s, k_max))))
 
 
 def test_cover_monotone_in_smoothness():
@@ -542,7 +547,7 @@ def test_cover_implies_close_smooth_multiple(y):
     width = SurdValue(P=0, Q=1, m=3 * fld.D, M=fld.D)  # sqrt(3/D)
     for c in S23.smooth_upto(k_max):
         frac = (c * y) % 1
-        if frac < width or frac > 1 - width:
+        if frac < width or 1 - frac < width:
             return
     pytest.fail(f"no smooth multiple of {y} lands near an integer")
 
@@ -560,7 +565,8 @@ def test_sweep_properties(d, primes, k_max):
     s = SSet.from_iterable(primes)
     ivs = intervals(fld, s, k_max)
     result = covers_unit(ivs, d=d, s=s)
-    gaps = residual(fld, s, k_max).gaps
+    res = residual(fld, s, k_max)
+    gaps = surd_gaps(res)
     assert (gaps == ()) == isinstance(result, CoverCertificate)
     zero, one = SurdValue.rational(0), SurdValue.rational(1)
     if isinstance(result, CoverCertificate):
@@ -576,7 +582,7 @@ def test_sweep_properties(d, primes, k_max):
             assert link == (best.j, best.k)
             reach = best.hi
     else:
-        assert result.at == gaps[0][0]
+        assert result.at == res.gaps[0][0]
     for (_, hi), (lo, _) in zip(gaps, gaps[1:]):
         assert surd_cmp(hi, lo) < 0
     for lo, hi in gaps:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seuclid import disks
+from seuclid import disks, exact
 from seuclid.covering import (
     Residual,
     Verdict,
@@ -29,7 +29,6 @@ from seuclid.disks import (
     ExceptionalBundle,
     GapLineCert,
     PointPiece,
-    _corner_inside,
     _corner_range,
     _outside_cells,
     _orbit_keeps_gaps_apart,
@@ -46,8 +45,16 @@ from seuclid.disks import (
     verify_gap_line,
 )
 from seuclid.field import KElement, make_field, s_norm
-from seuclid.exact import SSet, SurdValue, primes_below, s_part_strip, squarefree, surd_sign
-from surd_reference import MIXED_COVER, _mp_gap_line, _piece_span, _sweep_gap_line
+from seuclid.exact import SSet, primes_below, s_part_strip, squarefree, surd_sign
+from surd_reference import (
+    MIXED_COVER,
+    _corner_inside,
+    _mp_gap_line,
+    _orbit_reference,
+    _piece_span,
+    _sweep_gap_line,
+    end_sign,
+)
 
 F35 = make_field(35)
 S5 = SSet.of(5)
@@ -535,9 +542,16 @@ def test_piece_span_is_where_the_bound_is_below_one(case):
         lo, hi = span
         assert lo < hi
         for x in (lo, hi):
-            assert x * x * a2 + x * a1 + a0 == 1
+            # M^2*(bound(x) - 1) at x = (P + Q*sqrt(m))/M is
+            # a2*(P^2 + Q^2*m) + a1*P*M + (a0 - 1)*M^2 + Q*(2*a2*P + a1*M)*sqrt(m)
+            P, Q, m, M = x.P, x.Q, x.m, x.M
+            assert a2 * (P * P + Q * Q * m) + a1 * P * M + (a0 - 1) * M * M == 0
+            assert Q * (2 * a2 * P + a1 * M) == 0
+        # lo and hi are mid -/+ one surd
         mid = -a1 / (2 * a2)
-        assert (lo + hi) * Fraction(1, 2) == mid and mid * mid * a2 + mid * a1 + a0 < 1
+        assert Fraction(lo.P, lo.M) + Fraction(hi.P, hi.M) == 2 * mid
+        assert (lo.Q * hi.M, lo.m) == (-hi.Q * lo.M, hi.m)
+        assert mid * mid * a2 + mid * a1 + a0 < 1
 
 
 @settings(max_examples=400, deadline=None)
@@ -639,31 +653,88 @@ def test_built_in_bundles_pass_the_orbit_check(d, p, k_maxes):
         assert verify_exceptional_bundle(replace(bundle, k_max=k_max)), k_max
 
 
-def _surd_gaps(gaps):
-    return {r: (SurdValue.rational(lo), SurdValue.rational(hi)) for r, (lo, hi) in gaps.items()}
+def _rational_ends(gaps):
+    """Gaps with rational ends, as pairs of integer ends (a, 0, c) = a/c."""
+    return {r: tuple((x.numerator, 0, x.denominator) for x in gap) for r, gap in gaps.items()}
 
 
 def test_orbit_check_rejects_an_image_meeting_a_second_gap():
     third, two_thirds, eps = Fraction(1, 3), Fraction(2, 3), Fraction(1, 100)
     narrow = {third: (third - eps, third + eps), two_thirds: (two_thirds - eps, two_thirds + eps)}
-    assert _orbit_keeps_gaps_apart(2, _surd_gaps(narrow))
+    assert _orbit_keeps_gaps_apart(40, 2, _rational_ends(narrow))
     # the gap [5/24, 11/24] around 1/3 maps onto 2/3 + 2*(G - 1/3) =
     # [5/12, 11/12], which meets that gap again
     wide = {third: (Fraction(5, 24), Fraction(11, 24)), two_thirds: narrow[two_thirds]}
-    assert not _orbit_keeps_gaps_apart(2, _surd_gaps(wide))
+    assert not _orbit_keeps_gaps_apart(40, 2, _rational_ends(wide))
     # p = 3 and one gap around 1/2: [1/4, 3/4] maps onto [-1/4, 5/4], which
     # meets the gap shifted by -1 and by +1 (closed ends touch)
     half = Fraction(1, 2)
-    assert _orbit_keeps_gaps_apart(3, _surd_gaps({half: (Fraction(3, 10), Fraction(7, 10))}))
-    assert not _orbit_keeps_gaps_apart(3, _surd_gaps({half: (Fraction(1, 4), Fraction(3, 4))}))
+    assert _orbit_keeps_gaps_apart(15, 3, _rational_ends({half: (Fraction(3, 10), Fraction(7, 10))}))
+    assert not _orbit_keeps_gaps_apart(15, 3, _rational_ends({half: (Fraction(1, 4), Fraction(3, 4))}))
+    # the same gaps through right and left ends of intervals at D = 3,
+    # where sqrt(3/D) = 1: (0 + 1)/4 and (4 - 1)/4
+    assert not _orbit_keeps_gaps_apart(3, 3, {half: ((0, 1, 4), (4, -1, 4))})
 
 
 def test_bundle_rejects_residual_gaps_whose_image_meets_another(monkeypatch):
     bundle = certify_exceptional(15, 3)
-    for (lo, hi), accepted in (((Fraction(3, 10), Fraction(7, 10)), True), ((Fraction(1, 4), Fraction(3, 4)), False)):
-        gaps = Residual(((SurdValue.rational(lo), SurdValue.rational(hi)),))
+    for gap, accepted in ((((3, 0, 10), (7, 0, 10)), True), (((1, 0, 4), (3, 0, 4)), False)):
+        gaps = Residual(15, (gap,))
         monkeypatch.setattr(disks, "residual", lambda fld, s, k_max, gaps=gaps: gaps)
         assert verify_exceptional_bundle(bundle) is accepted
+
+
+def _draw_end(draw, D, y, side):
+    """An integer end (a, b, c) below y (side -1) or above it (side +1):
+    the nearest one for the drawn b and c, moved 0 to 3 steps of 1/c
+    further out, and clamped to [0, 1]."""
+    b, c = draw(st.sampled_from([-1, 0, 1])), draw(st.integers(min_value=1, max_value=64))
+    a = c * y.numerator // y.denominator - 2 * side  # on the wrong side, as |b*sqrt(3/D)| <= 1
+    while end_sign(Fraction(a, c) - y, Fraction(b, c), D) == -side:
+        a += side
+    a += side * draw(st.sampled_from([0, 0, 1, 2, 3]))
+    if end_sign(Fraction(a, c) - (side > 0), Fraction(b, c), D) == side:
+        return (int(side > 0), 0, 1)
+    return a, b, c
+
+
+@st.composite
+def _gap_sets(draw):
+    d = draw(st.one_of(st.just(3), st.sampled_from([d for d in range(1, 80) if squarefree(d)])))
+    D = make_field(d).D
+    ys = draw(st.sets(
+        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda y: y < 1), min_size=1, max_size=3,
+    ))
+    return D, {y: (_draw_end(draw, D, y, -1), _draw_end(draw, D, y, +1)) for y in ys}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gap_sets(), st.sampled_from([2, 3, 5, 7]))
+def test_orbit_check_matches_its_definition(gap_set, p):
+    """The integer orbit check, with its exact floors, equals the
+    reference that tests every shift by exact comparison, on gaps with
+    rational and sqrt(3/D) ends; D = 3 has the square radicand 9."""
+    D, around = gap_set
+    assert _orbit_keeps_gaps_apart(D, p, around) == _orbit_reference(D, p, around)
+
+
+def test_bundle_check_builds_no_surd_value(monkeypatch):
+    """residual, a failing covers_unit and the bundle check work on
+    integer ends alone: with the surd kernel raising, all still run."""
+    bundles = [certify_exceptional(d, p) for d, p in ((10, 2), (15, 3), (15, 5))]
+    ivs = intervals(make_field(10), SSet.of(2), 64)
+
+    def reached(*args):
+        raise AssertionError("the surd kernel was reached")
+
+    monkeypatch.setattr(exact.SurdValue, "__post_init__", reached)
+    monkeypatch.setattr(exact, "surd_cmp", reached)
+    at = covers_unit(ivs, d=10, s=SSet.of(2)).at
+    assert at == residual(make_field(10), SSet.of(2), 64).gaps[0][0]
+    for bundle in bundles:
+        gaps = residual(make_field(bundle.d), SSet.of(bundle.p), bundle.k_max).gaps
+        assert len(gaps) == len(bundle.gap_rationals)
+        assert verify_exceptional_bundle(bundle)
 
 
 def _chain_disks(fld, s, chain):

@@ -29,9 +29,13 @@ def test_tracer_counts_the_surd_kernel_and_restores_it():
     tracer = _load_tracer().Tracer(API)
     tracer.install()
     try:
+        # residual and the bundle check run on integer ends; intervals
+        # builds SurdValue ends, and comparing two of them calls surd_cmp
         covering.residual(make_field(10), SSet.of(2), 64)
         assert disks.verify_exceptional_bundle(bundle)
         assert covering.replay_chain(67, chain)
+        first = covering.intervals(make_field(10), SSet.of(2), 4)[0]
+        assert first.lo < first.hi
     finally:
         tracer.uninstall()
     spans, counts = tracer.take()
