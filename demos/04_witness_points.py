@@ -12,7 +12,7 @@ for d, p in ((17, 2), (13, 2), (5, 11), (23, 5), (7, 11)):
     out = certify_non_euclidean(d, p)
     if isinstance(out, WitnessCertificate):
         print(f"(d={d}, p={p}): NOT {{{p}}}-norm-Euclidean")
-        print(f"  xi0 = {out.xi0}, case {out.case_tag.value}, bound {out.bound}")
+        print(f"  xi0 = {out.xi0}, bound {out.bound}")
         rep = oracle_min_snorm(d, p, out.xi0, n_max=4, coeff_max=40)
         print(f"  oracle minimum over the grid: {rep.min_snorm_found} at alpha = {rep.argmin}")
         assert rep.min_snorm_found >= out.bound

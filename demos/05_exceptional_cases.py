@@ -28,11 +28,10 @@ for t in (3, 5, 7):
     print(f"  k_max = 2^{t}: {len(res.gaps)} gaps, widths {[f'{w:.2e}' for w in widths]}")
 
 bundle = certify_exceptional(10, 2)
-print(f"verified bundle: gap lines at {[str(line.y0) for line in bundle.gap_lines]}, "
-      f"orbit points {[str(y) for y in bundle.gap_rationals]}")
+print(f"verified bundle: gap lines at {[str(line.y0) for line in bundle.gap_lines]}")
 
 bundle15 = certify_exceptional(15, 3)
-print(f"\nd = 15, S = {{3}}: single gap at {bundle15.gap_rationals[0]}, "
+print(f"\nd = 15, S = {{3}}: single gap line at {bundle15.gap_lines[0].y0}, "
       f"{len(bundle15.gap_lines[0].pieces)} certificate pieces")
 
 for p in (5, 7):

@@ -44,7 +44,6 @@ from .disks import (  # noqa: F401
     verify_gap_line,
 )
 from .witness import (  # noqa: F401
-    CaseTag,
     OracleReport,
     WitnessCertificate,
     certify_non_euclidean,

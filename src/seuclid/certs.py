@@ -3,7 +3,9 @@
 The canonical serialization is deterministic (sorted keys, no
 timestamps); rationals are encoded as integer strings so nothing passes
 through a lossy numeric type.  Verifying a loaded certificate uses only
-the file contents plus (d, S).
+the file contents plus (d, S).  Keys that earlier schemas wrote and the
+checker now derives (a witness's `case_tag`, a bundle's `gap_rationals`)
+are ignored, not trusted.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ from .disks import (
 )
 from .exact import SSet, s_part_strip
 from .field import KElement, QuadField, make_field
-from .witness import CaseTag, WitnessCertificate, witness_bound
+from .witness import WitnessCertificate, witness_bound
 
-SCHEMA_VERSION = "3.0"
+SCHEMA_VERSION = "4.0"
 
 # Limits on the checker's work for one file.  A bundle's residual builds
 # all intervals with S-smooth k <= k_max (the built-ins use 64, 81 and
@@ -148,7 +150,6 @@ def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
             "s": [cert.p],
             "payload": {
                 "xi0": _elem(cert.xi0),
-                "case_tag": cert.case_tag.value,
                 "bound": _frac(cert.bound),
             },
         }
@@ -160,7 +161,6 @@ def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
             "s": [cert.p],
             "payload": {
                 "k_max": cert.k_max,
-                "gap_rationals": [_frac(y) for y in cert.gap_rationals],
                 "gap_lines": [
                     {
                         "y0": _frac(line.y0),
@@ -181,7 +181,8 @@ def _piece_to_obj(piece: BoundPiece | PointPiece) -> dict[str, Any]:
 
 def certificate_from_obj(obj: Any) -> Certificate:
     """Parse a certificate object; raises CertificateParseError on any
-    structural problem."""
+    structural problem, a d that is not a squarefree positive integer
+    included, for every kind."""
     try:
         kind = obj["kind"]
         d = _typed(obj["d"], int, "d")
@@ -189,6 +190,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
         if d > MAX_D or any(p > MAX_D for p in primes):
             raise CertificateParseError(f"d or a prime of s exceeds MAX_D = {MAX_D}")
         s = SSet.from_iterable(primes)
+        fld = make_field(d)
         payload = obj["payload"]
         if kind == "cover":
             k_max = _typed(payload["k_max"], int, "k_max")
@@ -205,7 +207,6 @@ def certificate_from_obj(obj: Any) -> Certificate:
                     _typed(k, int, "k")
                 chain.append((j, k))
             return CoverCertificate(d=d, s=s, k_max=k_max, chain=tuple(chain))
-        fld = make_field(d)
         if kind == "disk":
             disks = tuple(
                 Disk(center=_read_elem(e, fld), r_squared=_read_frac(e["r_squared"])) for e in payload["disks"]
@@ -215,11 +216,7 @@ def certificate_from_obj(obj: Any) -> Certificate:
         if kind == "witness":
             p = _one_prime(kind, s)
             return WitnessCertificate(
-                d=d,
-                p=p,
-                xi0=_read_elem(payload["xi0"], fld),
-                case_tag=CaseTag(payload["case_tag"]),
-                bound=_read_frac(payload["bound"]),
+                d=d, p=p, xi0=_read_elem(payload["xi0"], fld), bound=_read_frac(payload["bound"])
             )
         if kind == "exceptional-bundle":
             p = _one_prime(kind, s)
@@ -234,7 +231,6 @@ def certificate_from_obj(obj: Any) -> Certificate:
                 d=d,
                 p=p,
                 k_max=_typed(payload["k_max"], int, "k_max"),
-                gap_rationals=tuple(_read_frac(y) for y in payload["gap_rationals"]),
                 gap_lines=lines,
             )
         raise CertificateParseError(f"unknown certificate kind: {kind!r}")
@@ -306,13 +302,8 @@ def verify_certificate_obj(obj: Any) -> bool:
         dispatch = witness_bound(cert.d, cert.p)
         if isinstance(dispatch, Verdict):
             return False
-        tag, xi0, bound = dispatch
-        return (
-            tag == cert.case_tag
-            and xi0 == cert.xi0
-            and bound == cert.bound
-            and bound >= 1
-        )
+        xi0, bound = dispatch
+        return xi0 == cert.xi0 and bound == cert.bound and bound >= 1
     if isinstance(cert, ExceptionalBundle):
         if cert.k_max > MAX_BUNDLE_K_MAX:
             return False

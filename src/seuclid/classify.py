@@ -23,11 +23,7 @@ def decide(d: int, s: SSet) -> Verdict:
             return Verdict("euclidean-exceptional", cert, f"exceptional certificate for ({d}, {p})")
         outcome = certify_non_euclidean(d, p)
         if isinstance(outcome, WitnessCertificate):
-            return Verdict(
-                "non-euclidean",
-                outcome,
-                f"witness {outcome.xi0} with bound {outcome.bound} ({outcome.case_tag.value})",
-            )
+            return Verdict("non-euclidean", outcome, f"witness {outcome.xi0} with bound {outcome.bound}")
         if outcome.kind == "not-applicable":
             return outcome
         return Verdict("unknown", None, f"{cover.reason}; {outcome.reason}")

@@ -29,17 +29,13 @@ EXIT_UNKNOWN = 2
 EXIT_INVALID = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _parse_s(text: str | None) -> SSet:
     if not text:
         return SSet()
     try:
         primes = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise InputError(f"cannot parse prime list {text!r}") from exc
+        raise ValueError(f"cannot parse prime list {text!r}") from exc
     return SSet.from_iterable(primes)
 
 
@@ -69,7 +65,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     s = _parse_s(args.s)
     if args.dmax < 1:
-        raise InputError("--dmax must be positive")
+        raise ValueError("--dmax must be positive")
     rows = survey_rows(s, args.dmax)
     euclidean = [r["d"] for r in rows if r["verdict"].startswith("euclidean")]
     if args.format == "json":
@@ -106,12 +102,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     d = args.d
     if not is_prime(args.p):
-        raise InputError(f"{args.p} is not prime")
+        raise ValueError(f"{args.p} is not prime")
     dispatch = witness_bound(d, args.p)
     if isinstance(dispatch, Verdict):
         xi0 = KElement(1, 1, 2, make_field(d))
     else:
-        _tag, xi0, _bound = dispatch
+        xi0, _bound = dispatch
     report = oracle_min_snorm(d, args.p, xi0, args.nmax, args.coeff)
     print(f"xi0 = {xi0}; grid n <= {args.nmax}, |a|,|b| <= {args.coeff}")
     print(f"min S-norm found: {report.min_snorm_found} at alpha = {report.argmin}")
@@ -162,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, CertificateParseError) as exc:
+    except (ValueError, CertificateParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

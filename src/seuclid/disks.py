@@ -7,9 +7,9 @@ gap-line verifier used for d = 10 and d = 15, which derives from each
 alpha the quadratic bounding its S-norm distance along the line and
 checks coverage end by end with integer sign tests (`surd_sign`),
 never ordering two pieces' ends against each other.  The bundle check
-places each gap rational and follows y -> p*y across the residual gaps
-on their integer ends (a + b*sqrt(3/D))/c, with `surd_sign` and an
-exact integer floor.
+derives the gap rationals as the p-orbits of its lines' y0, places each
+one and follows y -> p*y across the residual gaps on their integer ends
+(a + b*sqrt(3/D))/c, with `surd_sign` and an exact integer floor.
 """
 from __future__ import annotations
 
@@ -399,16 +399,27 @@ class ExceptionalBundle:
     misses [0, 1] by finitely many points.
 
     The checker recomputes the residual gaps of the intervals with
-    S-smooth k <= k_max; each must hold exactly one of gap_rationals.
-    gap_rationals is closed under y -> p*y (mod 1), which reduces every
-    missed line to one carrying a certificate (scaling by p preserves
-    the S-norm condition).
+    S-smooth k <= k_max and derives the gap rationals as the orbits of
+    the lines' y0 under y -> p*y mod 1; each gap must hold exactly one
+    of them, so there are no more of them than gaps.  Scaling by p
+    preserves the S-norm condition, so a point on the line y is settled
+    once its image on the line p*y mod 1 is.
+
+    The orbits are all of the gap rationals: the denominator v of each
+    y0 is prime to p (verify_gap_line), so y -> p*y mod 1 permutes the
+    fractions u/v in [0, 1), and the orbit of y0 is a cycle that comes
+    back to y0, a line with a certificate.  Any other point of a gap G
+    around r lies at r + delta, delta != 0, and maps to r' + p*delta,
+    r' = p*r mod 1.  The image of G meets no gap but the one around r'
+    (_orbit_keeps_gaps_apart), so each step either leaves every gap or
+    lands in the gap around r' at p times the distance from its
+    rational.  The gaps are bounded, so after finitely many steps the
+    point lies in no gap, on a line the intervals cover.
     """
 
     d: int
     p: int
     k_max: int
-    gap_rationals: tuple[Fraction, ...]
     gap_lines: tuple[GapLineCert, ...]
 
 
@@ -460,35 +471,40 @@ def _orbit_keeps_gaps_apart(D: int, p: int, around: dict[Fraction, tuple[End, En
     return True
 
 
+def _orbits(p: int, ys: list[Fraction], most: int) -> set[Fraction] | None:
+    """The orbits of ys under y -> p*y mod 1, each followed until it
+    closes; None once they hold more than `most` rationals, so a long
+    orbit costs at most most + 1 steps."""
+    seen = set()
+    for y in ys:
+        while y not in seen:
+            seen.add(y)
+            if len(seen) > most:
+                return None
+            y = p * y % 1
+    return seen
+
+
 def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
+    """The residual gaps at k_max, the gap rationals derived from the
+    lines (see ExceptionalBundle), one of them in each gap, the orbit
+    check and every gap line."""
     if bundle.k_max < 1:
         return False
     fld = make_field(bundle.d)
     s = SSet.of(bundle.p)
-    rationals = set(bundle.gap_rationals)
-    # each residual gap contains exactly one of the claimed points, and
-    # every claimed point lies in a gap
+    gaps = residual(fld, s, bundle.k_max).gaps
+    rationals = _orbits(bundle.p, [line.y0 for line in bundle.gap_lines], len(gaps))
+    if rationals is None:
+        return False
+    # each residual gap contains exactly one of them; the gaps are
+    # disjoint, so with no more rationals than gaps each lies in one
     around = {}
-    for lo, hi in residual(fld, s, bundle.k_max).gaps:
+    for lo, hi in gaps:
         inside = [y for y in rationals if _side(fld.D, y, lo) >= 0 >= _side(fld.D, y, hi)]
         if len(inside) != 1:
             return False
         around[inside[0]] = (lo, hi)
-    if around.keys() != rationals:
-        return False
-    # closure under multiplication by p modulo 1, and every orbit must
-    # reach a line carrying a certificate
-    cert_lines = {cert.y0 for cert in bundle.gap_lines}
-    for y in rationals:
-        if (bundle.p * y) % 1 not in rationals:
-            return False
-        orbit = y
-        for _ in range(len(rationals) + 1):
-            if orbit in cert_lines:
-                break
-            orbit = (bundle.p * orbit) % 1
-        else:
-            return False
     if not _orbit_keeps_gaps_apart(fld.D, bundle.p, around):
         return False
     return all(verify_gap_line(fld, s, cert) for cert in bundle.gap_lines)
@@ -505,17 +521,8 @@ def certify_exceptional(d: int, p: int) -> DiskCertificate | ExceptionalBundle |
         if not verify_disk_cert(cert):
             raise CertificationError(f"disk table for (35, {p}) failed verification")
         return cert
-    if d == 10:
-        k_max, rationals = 64, (Fraction(1, 3), Fraction(2, 3))
-    else:
-        k_max, rationals = (81 if p == 3 else 125), (Fraction(1, 2),)
-    bundle = ExceptionalBundle(
-        d=d,
-        p=p,
-        k_max=k_max,
-        gap_rationals=rationals,
-        gap_lines=(gap_line_certificate(d, p),),
-    )
+    k_max = {(10, 2): 64, (15, 3): 81, (15, 5): 125}[d, p]
+    bundle = ExceptionalBundle(d=d, p=p, k_max=k_max, gap_lines=(gap_line_certificate(d, p),))
     if not verify_exceptional_bundle(bundle):
         raise CertificationError(f"exceptional bundle for ({d}, {p}) failed verification")
     return bundle

@@ -8,7 +8,6 @@ styling are non-contractual.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .covering import CoverCertificate
 from .disks import DiskCertificate, ExceptionalBundle
@@ -135,10 +134,9 @@ def render_bundle(bundle: ExceptionalBundle) -> str:
     canvas = _Canvas(fld)
     canvas.fundamental_domain()
     for line in bundle.gap_lines:
-        v = float(Fraction(line.y0))
+        v = float(line.y0)
         canvas.line((0.0, v), (1.0, v), "stroke:#ee6677;stroke-width:2;stroke-dasharray:8 4")
-    for y in bundle.gap_rationals:
-        canvas.text(1.03, float(y), f"gap line y={y}")
+        canvas.text(1.03, v, f"gap line y={line.y0}")
     canvas.text(0.02, 1.04, f"d={bundle.d}, p={bundle.p}: exceptional cover")
     return canvas.to_svg()
 

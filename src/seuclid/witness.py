@@ -12,7 +12,6 @@ left out: its points are the points of the level below.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,6 @@ from .exact import SSet, is_prime, legendre, s_part_strip
 from .field import KElement, make_field
 
 __all__ = [
-    "CaseTag",
     "WitnessCertificate",
     "OracleReport",
     "certify_non_euclidean",
@@ -32,30 +30,19 @@ __all__ = [
 ]
 
 
-class CaseTag(str, enum.Enum):
-    ODD_INERT_23 = "OddInert23"
-    ODD_RAMIFIED_23 = "OddRamified23"
-    ODD_INERT_1MOD4 = "OddInert1mod4"
-    ODD_RAMIFIED_1MOD4 = "OddRamified1mod4"
-    TWO_GENERIC = "TwoGeneric"
-    TWO_EVEN_D = "TwoEvenD"
-    THIRTEEN_SPECIAL = "ThirteenSpecial"
-
-
 @dataclass(frozen=True)
 class WitnessCertificate:
     d: int
     p: int
     xi0: KElement
-    case_tag: CaseTag
     bound: Fraction
 
 
-def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | Verdict:
+def witness_bound(d: int, p: int) -> tuple[KElement, Fraction] | Verdict:
     """Case dispatch for the lower bound on N_S(xi0 - alpha).
 
-    Returns (case tag, witness point, exact bound), or a "not-applicable"
-    Verdict when p splits in K.
+    Returns (witness point, exact bound), or a "not-applicable" Verdict
+    when p splits in K.
     """
     fld = make_field(d)
     half = fld.half_basis  # -d = 1 (mod 4)
@@ -63,28 +50,28 @@ def witness_bound(d: int, p: int) -> tuple[CaseTag, KElement, Fraction] | Verdic
         if (-d) % 8 == 1:
             return Verdict("not-applicable", None, f"-{d} = 1 (mod 8): 2 splits in Q(sqrt(-{d}))")
         xi0 = KElement(1, 1, 3, fld)
-        if (-d) % 8 == 5:
-            return (CaseTag.TWO_GENERIC, xi0, Fraction(1 + d, 36))
-        # -d = 2, 3 (mod 4)
+        if (-d) % 8 == 5:  # 2 inert
+            return xi0, Fraction(1 + d, 36)
+        # -d = 2, 3 (mod 4): 2 ramified
         if d == 13:
             # A is an odd multiple of 3 in the divisible-by-2 branch, so
             # A^2 >= 9 and the bound is min(13/9, (9+13)/18)
-            return (CaseTag.THIRTEEN_SPECIAL, KElement(0, 1, 3, fld), min(Fraction(13, 9), Fraction(22, 18)))
+            return KElement(0, 1, 3, fld), min(Fraction(13, 9), Fraction(22, 18))
         if d % 2 == 0:
-            return (CaseTag.TWO_EVEN_D, xi0, Fraction(4 + d, 18))
-        return (CaseTag.TWO_GENERIC, xi0, Fraction(1 + d, 18))
-    # p odd
+            return xi0, Fraction(4 + d, 18)
+        return xi0, Fraction(1 + d, 18)
+    # p odd: inert for sym = -1, ramified for sym = 0
     sym = legendre(-d, p)
     if sym == 1:
         return Verdict("not-applicable", None, f"(-{d}/{p}) = 1: {p} splits in Q(sqrt(-{d}))")
     xi0 = KElement(1, 1, 2, fld)
     if not half:
         if sym == -1:
-            return (CaseTag.ODD_INERT_23, xi0, Fraction(1 + d, 4))
-        return (CaseTag.ODD_RAMIFIED_23, xi0, min(Fraction(1 + d, 4), Fraction(p * p + d, 4 * p)))
+            return xi0, Fraction(1 + d, 4)
+        return xi0, min(Fraction(1 + d, 4), Fraction(p * p + d, 4 * p))
     if sym == -1:
-        return (CaseTag.ODD_INERT_1MOD4, xi0, Fraction(1 + d, 16))
-    return (CaseTag.ODD_RAMIFIED_1MOD4, xi0, min(Fraction(1 + d, 16), Fraction(p * p + d, 16 * p)))
+        return xi0, Fraction(1 + d, 16)
+    return xi0, min(Fraction(1 + d, 16), Fraction(p * p + d, 16 * p))
 
 
 def certify_non_euclidean(d: int, p: int) -> WitnessCertificate | Verdict:
@@ -98,9 +85,9 @@ def certify_non_euclidean(d: int, p: int) -> WitnessCertificate | Verdict:
     dispatch = witness_bound(d, p)
     if isinstance(dispatch, Verdict):
         return dispatch
-    tag, xi0, bound = dispatch
+    xi0, bound = dispatch
     if bound >= 1:
-        return WitnessCertificate(d=d, p=p, xi0=xi0, case_tag=tag, bound=bound)
+        return WitnessCertificate(d=d, p=p, xi0=xi0, bound=bound)
     reason = f"lower bound {bound} < 1"
     if (d, p) in EXCEPTIONAL_PAIRS:
         reason += " (exceptional pair, resolved by certify_exceptional)"

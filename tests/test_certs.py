@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from seuclid.disks import (
     find_uncovered_cell,
     gap_line_certificate,
     table_disk_certificate,
+    verify_gap_line,
 )
 from seuclid.exact import SSet, is_prime, primes_below, s_part_strip, squarefree
 from seuclid.field import make_field
@@ -222,8 +224,9 @@ def test_verify_tests_each_denominator_once(monkeypatch):
 
 # sha256 over the canonical JSON (one line each) of the Theorem-2 cover
 # certificates for squarefree d <= 300 and the three gap-line bundles;
-# schema 3.0: a bound piece is only {type, alpha}
-PINNED_DIGEST = "31fe72fe91ddf5eb16aa51532c08d18daecaae8ef5b4f3dac5ac0579e1650b7e"
+# schema 4.0: a bound piece is only {type, alpha}, and a bundle has no
+# gap_rationals (the 3.0 bytes otherwise, but for the version string)
+PINNED_DIGEST = "a7c725919ac68541b047f49105a1a41aa883018c7ee72f6fc087a18296122db3"
 
 
 def test_certificate_bytes_pinned():
@@ -241,9 +244,9 @@ def test_certificate_bytes_pinned():
 
 
 # sha256 over the canonical JSON (one line each) of all 1824 Theorem-2
-# cover certificates for squarefree d <= 3000, schema 3.0 (the 2.0 bytes
-# but for the version string)
-PINNED_THEOREM2_DIGEST = "8a419906965e27423886b20380c014ce80b3f0b4bbcd79ced93ae596b6e805c8"
+# cover certificates for squarefree d <= 3000, schema 4.0 (the 2.0 and
+# 3.0 bytes but for the version string)
+PINNED_THEOREM2_DIGEST = "36c99b3b30a57e8e78bec8480a4716212424db27ce5784d802cab0fc2eb80d96"
 
 
 def test_theorem2_bytes_pinned_to_3000():
@@ -279,10 +282,16 @@ def test_verify_rejects_zero_gap_line(d, p):
 
 def test_bundle_payload_keys():
     obj = certificate_to_obj(certify_exceptional(10, 2))
-    assert obj["schema_version"] == "3.0"
-    assert set(obj["payload"]) == {"k_max", "gap_rationals", "gap_lines"}
+    assert obj["schema_version"] == "4.0"
+    assert set(obj["payload"]) == {"k_max", "gap_lines"}
     for piece in obj["payload"]["gap_lines"][0]["pieces"]:
         assert set(piece) == {"type", "alpha"}
+
+
+def test_witness_payload_keys():
+    obj = certificate_to_obj(certify_non_euclidean(5, 11))
+    assert obj["schema_version"] == "4.0"
+    assert obj["payload"] == {"xi0": {"a": 1, "b": 1, "c": 2}, "bound": {"num": "3", "den": "2"}}
 
 
 def test_schema_1_0_bundle_still_verifies():
@@ -352,6 +361,110 @@ def test_schema_2_0_files_still_verify(text):
     assert verify_certificate_obj(obj) is True
 
 
+# the canonical objects that schema 3.0 wrote for the (5, 11) witness,
+# with its `case_tag`, and for the (10, 2) and (15, 3) bundles, with
+# their `gap_rationals`
+SCHEMA_3_0_WITNESS_5_11 = (
+    '{"d":5,"kind":"witness","payload":{"bound":{"den":"2","num":"3"},"case_tag":"OddInert23",'
+    '"xi0":{"a":1,"b":1,"c":2}},"s":[11],"schema_version":"3.0"}'
+)
+SCHEMA_3_0_BUNDLE_10_2 = (
+    '{"d":10,"kind":"exceptional-bundle","payload":{"gap_lines":[{"pieces":[{"alpha":{"a":0,"b":1,'
+    '"c":2},"type":"bound"},{"alpha":{"a":2,"b":1,"c":2},"type":"bound"},{"alpha":{"a":2,"b":1,'
+    '"c":4},"type":"bound"}],"y0":{"den":"3","num":"1"}}],"gap_rationals":[{"den":"3","num":"1"},'
+    '{"den":"3","num":"2"}],"k_max":64},"s":[2],"schema_version":"3.0"}'
+)
+SCHEMA_3_0_BUNDLE_15_3 = (
+    '{"d":15,"kind":"exceptional-bundle","payload":{"gap_lines":[{"pieces":[{"alpha":{"a":0,"b":1,'
+    '"c":1},"type":"bound"},{"alpha":{"a":1,"b":0,"c":1},"type":"bound"},{"alpha":{"a":1,"b":0,'
+    '"c":1},"type":"point","x":{"den":"1","num":"0"}},{"alpha":{"a":0,"b":0,"c":1},"type":"point",'
+    '"x":{"den":"2","num":"1"}},{"alpha":{"a":2,"b":0,"c":1},"type":"point","x":{"den":"1",'
+    '"num":"1"}}],"y0":{"den":"2","num":"1"}}],"gap_rationals":[{"den":"2","num":"1"}],"k_max":81},'
+    '"s":[3],"schema_version":"3.0"}'
+)
+
+
+@pytest.mark.parametrize("text", [SCHEMA_3_0_WITNESS_5_11, SCHEMA_3_0_BUNDLE_10_2, SCHEMA_3_0_BUNDLE_15_3],
+                         ids=["witness (5, 11)", "bundle (10, 2)", "bundle (15, 3)"])
+def test_schema_3_0_files_still_verify(text):
+    """The keys that 4.0 dropped are ignored, not trusted: a 3.0 file
+    is the 4.0 one plus `case_tag` or `gap_rationals`."""
+    obj = json.loads(text)
+    assert obj["schema_version"] == "3.0"
+    assert verify_certificate_obj(obj) is True
+    legacy = {"witness": "case_tag", "exceptional-bundle": "gap_rationals"}[obj["kind"]]
+    current = certificate_to_obj(certificate_from_obj(obj))
+    assert current == dict(obj, schema_version="4.0", payload={
+        key: value for key, value in obj["payload"].items() if key != legacy
+    })
+
+
+def _legacy_bundle(text, mutate):
+    obj = json.loads(text)
+    mutate(obj["payload"]["gap_lines"])
+    return obj
+
+
+_LINE_1_5 = {"y0": {"num": "1", "den": "5"}, "pieces": [{"type": "bound", "alpha": {"a": a, "b": b, "c": c}}
+                                                         for a, b, c in MIXED_COVER]}
+# y0 = 1/M, M = 2^61 - 1 prime: near y = 0, alpha = 0 and 1 cover the line
+_M61 = 2**61 - 1
+_LINE_1_M61 = {"y0": {"num": "1", "den": str(_M61)}, "pieces": [
+    {"type": "bound", "alpha": {"a": a, "b": 0, "c": 1}} for a in (0, 1)
+]}
+
+
+def test_bundle_lines_that_verify_alone():
+    """The forged lines below cover [0, 1] on their own: only the orbit
+    rule rejects the bundles that carry them."""
+    assert verify_gap_line(make_field(10), SSet.of(2), certificate_from_obj(
+        _legacy_bundle(SCHEMA_3_0_BUNDLE_10_2, lambda lines: lines.append(_LINE_1_5))).gap_lines[1])
+    assert verify_gap_line(make_field(15), SSet.of(3), certificate_from_obj(
+        _legacy_bundle(SCHEMA_3_0_BUNDLE_15_3, lambda lines: lines.append(_LINE_1_M61))).gap_lines[1])
+
+
+@pytest.mark.parametrize("text, mutate", [
+    # the orbit 1/5 -> 2/5 -> 4/5 -> 3/5 of a covered line lies in no gap;
+    # the stored gap_rationals {1/3, 2/3} each sit in one
+    (SCHEMA_3_0_BUNDLE_10_2, lambda lines: lines.append(_LINE_1_5)),
+    # no lines: the stored gap_rationals would still fill both gaps
+    (SCHEMA_3_0_BUNDLE_10_2, lambda lines: lines.clear()),
+], ids=["extra line y0 = 1/5", "no lines"])
+def test_bundle_forgeries_rejected(text, mutate):
+    """Rejected because the gap rationals are derived from the lines,
+    not read from the file's legacy `gap_rationals`."""
+    assert verify_certificate_obj(_legacy_bundle(text, mutate)) is False
+
+
+def test_bundle_with_a_long_orbit_rejected_at_once():
+    """The line y0 = 1/(2^61 - 1) verifies alone, and 3 has a vast order
+    mod 2^61 - 1: the orbit stops once it outgrows the one gap of (15, 3)."""
+    obj = _legacy_bundle(SCHEMA_3_0_BUNDLE_15_3, lambda lines: lines.append(_LINE_1_M61))
+    start = time.perf_counter()
+    assert verify_certificate_obj(obj) is False
+    assert time.perf_counter() - start < 1
+
+
+_KIND_CERTS = {
+    "cover": lambda: certify_euclidean(make_field(67), SSet.of(2, 3)),
+    "disk": lambda: table_disk_certificate(5, subdivision_depth=40),
+    "witness": lambda: certify_non_euclidean(5, 11),
+    "exceptional-bundle": lambda: certify_exceptional(10, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CERTS))
+@pytest.mark.parametrize("d", [0, -3, 4])
+def test_unusable_d_is_a_parse_error_for_every_kind(kind, d):
+    obj = certificate_to_obj(_KIND_CERTS[kind]())
+    assert obj["kind"] == kind
+    obj["d"] = d
+    with pytest.raises(CertificateParseError):
+        certificate_from_obj(obj)
+    with pytest.raises(CertificateParseError):
+        verify_certificate_obj(obj)
+
+
 def test_verify_rejects_bundle_alpha_outside_o_s():
     obj = certificate_to_obj(certify_exceptional(10, 2))
     obj["payload"]["gap_lines"][0]["pieces"][0]["alpha"] = {"a": 0, "b": 1, "c": 3}
@@ -369,17 +482,28 @@ def _bound_piece(a, b, c):
     return {"type": "bound", "alpha": {"a": a, "b": b, "c": c}}
 
 
+# on the line y0 = 1/2 of (15, 3) the span of (1 + w)/3 is
+# 1/4 -/+ sqrt(33)/12 and that of 1 is (1/2, 1): with a point piece at
+# x = 1 they cover [0, 1], with ends in sqrt(33) and in Q
+MIXED_15_3 = [_bound_piece(1, 1, 3), _bound_piece(1, 0, 1), {
+    "type": "point", "x": {"num": "1", "den": "1"}, "alpha": {"a": 2, "b": 0, "c": 1},
+}]
+
+
 def test_verify_rejects_piece_with_another_radicand():
-    # on the line y0 = 1/5 of d = 10 the span of alpha = -2 has ends in
-    # sqrt(15) and that of (-8 + w)/4 ends in sqrt(10); both lie left of 0,
-    # so the two pieces leave [0, 1] uncovered
-    obj = certificate_to_obj(certify_exceptional(10, 2))
-    line = {"y0": {"num": "1", "den": "5"}, "pieces": [_bound_piece(-2, 0, 1), _bound_piece(-8, 1, 4)]}
-    obj["payload"]["gap_lines"].append(line)
+    # the same two spans moved one to the left, (-2 + w)/3 with ends in
+    # sqrt(33) and 0 with ends -1/2 and 0, leave [0, 1] uncovered
+    obj = certificate_to_obj(certify_exceptional(15, 3))
+    line = obj["payload"]["gap_lines"][0]
+    line["pieces"] = [_bound_piece(-2, 1, 3), _bound_piece(0, 0, 1)]
     assert verify_certificate_obj(obj) is False
     # the same line with the covering pieces added verifies, radicands mixed
-    line["pieces"] += [_bound_piece(*alpha) for alpha in MIXED_COVER]
+    line["pieces"] += MIXED_15_3
     assert verify_certificate_obj(obj) is True
+    # each covering piece is needed
+    for i in range(len(MIXED_15_3)):
+        line["pieces"] = MIXED_15_3[:i] + MIXED_15_3[i + 1:]
+        assert verify_certificate_obj(obj) is False
 
 
 def test_verify_accepts_radicand_equal_up_to_a_square():

@@ -19,7 +19,6 @@ from seuclid.certs import (
 from seuclid.cli import main
 from seuclid.disks import EXCEPTIONAL_PAIRS, certify_exceptional, table_disk_certificate
 from seuclid.exact import primes_below
-from surd_reference import MIXED_COVER
 
 
 def test_check_euclidean(capsys):
@@ -65,6 +64,17 @@ def test_invalid_inputs_exit_1(tmp_path, capsys):
     assert not (tmp_path / "fig.svg").exists()
     assert main(["oracle", "12", "2"]) == 1
     assert main(["check", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "5", "--s", "x"], "cannot parse prime list 'x'"),
+    (["table", "--s", "2", "--dmax", "0"], "--dmax must be positive"),
+    (["oracle", "17", "4"], "4 is not prime"),
+])
+def test_invalid_input_messages(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_check_writes_verifiable_cert(tmp_path, capsys):
@@ -177,35 +187,34 @@ def test_verify_bad_bundle_exit_3(tmp_path, capsys):
         assert "verification FAILED" in capsys.readouterr().out
 
 
-def _verify_with_line(line, tmp_path, capsys):
-    """The exit code of `seuclid verify` on the (10, 2) bundle with `line`
-    appended, and its output."""
+def _verify_with_pieces(pieces, tmp_path, capsys):
+    """The exit code of `seuclid verify` on the (15, 3) bundle with the
+    pieces of its line y0 = 1/2 replaced by `pieces`, and its output."""
     path = tmp_path / "c.json"
-    assert main(["check", "10", "--s", "2", "--cert", str(path)]) == 0
+    assert main(["check", "15", "--s", "3", "--cert", str(path)]) == 0
     obj = json.loads(path.read_text())
-    obj["payload"]["gap_lines"].append(line)
+    obj["payload"]["gap_lines"][0]["pieces"] = pieces
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     return main(["verify", str(path)]), capsys.readouterr()
 
 
 def test_verify_piece_with_another_radicand_exit_3(tmp_path, capsys):
-    # on the line y0 = 1/5 the span of alpha = -2 has ends in sqrt(15),
-    # that of (-8 + w)/4 ends in sqrt(10); both lie left of 0, so the
+    # on the line y0 = 1/2 the span of (-2 + w)/3 has ends in sqrt(33),
+    # that of alpha = 0 the ends -1/2 and 0; both lie left of 0, so the
     # line is not covered: exit 3
-    code, captured = _verify_with_line(_MIXED_RADICAND_LINE, tmp_path, capsys)
+    code, captured = _verify_with_pieces(_UNCOVERING_PIECES, tmp_path, capsys)
     assert code == 3
     assert "verification FAILED" in captured.out
     assert captured.err == ""
     # with the covering pieces added the same line verifies
-    covered = dict(_MIXED_RADICAND_LINE, pieces=_MIXED_RADICAND_LINE["pieces"] + _MIXED_COVER_PIECES)
-    code, captured = _verify_with_line(covered, tmp_path, capsys)
+    code, captured = _verify_with_pieces(_UNCOVERING_PIECES + _MIXED_COVER_PIECES, tmp_path, capsys)
     assert code == 0 and captured.out.endswith(": valid\n")
 
 
 def test_verify_mixed_radicand_line_exit_0(tmp_path, capsys):
-    # a covering line whose span ends lie in sqrt(15) and sqrt(10)
-    code, captured = _verify_with_line({"y0": {"num": "1", "den": "5"}, "pieces": _MIXED_COVER_PIECES}, tmp_path, capsys)
+    # a covering line whose span ends lie in sqrt(33) and in Q
+    code, captured = _verify_with_pieces(_MIXED_COVER_PIECES, tmp_path, capsys)
     assert code == 0 and captured.out.endswith(": valid\n") and captured.err == ""
 
 
@@ -233,8 +242,16 @@ def _bound_piece(a, b, c):
     return {"type": "bound", "alpha": {"a": a, "b": b, "c": c}}
 
 
+# on y0 = 1/5 of d = 10: the spans of alpha = -2 and (-8 + w)/4, with
+# ends in sqrt(15) and sqrt(10), lie left of 0
 _MIXED_RADICAND_LINE = {"y0": {"num": "1", "den": "5"}, "pieces": [_bound_piece(-2, 0, 1), _bound_piece(-8, 1, 4)]}
-_MIXED_COVER_PIECES = [_bound_piece(*alpha) for alpha in MIXED_COVER]
+# on y0 = 1/2 of (15, 3): the spans of (-2 + w)/3 and 0 lie left of 0;
+# (1 + w)/3, 1 and a point piece at x = 1 cover [0, 1], with span ends
+# 1/4 -/+ sqrt(33)/12, 1/2 and 1
+_UNCOVERING_PIECES = [_bound_piece(-2, 1, 3), _bound_piece(0, 0, 1)]
+_MIXED_COVER_PIECES = [_bound_piece(1, 1, 3), _bound_piece(1, 0, 1), {
+    "type": "point", "x": {"num": "1", "den": "1"}, "alpha": {"a": 2, "b": 0, "c": 1},
+}]
 
 
 def _rational(q):
@@ -388,16 +405,17 @@ def test_verify_cover_forgeries(mutate, code, tmp_path, capsys):
 
 
 # one-field mutations of the (5, 11) witness, xi0 = (1 + w)/2 with bound
-# 3/2 (case OddInert23), and the exit code each gets from `seuclid verify`;
-# `num` and `den` must be canonical integer strings, den >= 1
+# 3/2, and the exit code each gets from `seuclid verify`; `num` and `den`
+# must be canonical integer strings, den >= 1; a 3.0 file's `case_tag` is
+# ignored, not trusted
 WITNESS_FORGERIES = [
     ("unchanged", lambda obj: None, 0),
     ("d = 5.0", _set("d", value=5.0), 1),
     ("s = [11.0]", _set("s", value=[11.0]), 1),
     ("s = ['11']", _set("s", value=["11"]), 1),
     ("s = [2]", _set("s", value=[2]), 3),
-    ("case_tag wrong", _set("payload", "case_tag", value="OddRamified23"), 3),
-    ("case_tag unknown", _set("payload", "case_tag", value="Bogus"), 1),
+    ("3.0 file, case_tag wrong, ignored",
+     lambda obj: obj.update(schema_version="3.0", payload=dict(obj["payload"], case_tag="OddRamified23")), 0),
     ("bound = 2", _set("payload", "bound", value={"num": "2", "den": "1"}), 3),
     ("bound = 3/4", _set("payload", "bound", value={"num": "3", "den": "4"}), 3),
     ("bound.num = 3", _set("payload", "bound", value={"num": 3, "den": "2"}), 1),
@@ -428,6 +446,26 @@ def test_verify_deeply_nested_json_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["67", "--s", "2,3"], "cover"),
+    (["35", "--s", "7"], "disk"),
+    (["17", "--s", "2"], "witness"),
+    (["10", "--s", "2"], "exceptional-bundle"),
+])
+@pytest.mark.parametrize("d", [0, -3, 4])
+def test_verify_unusable_d_exit_1(argv, kind, d, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["check", *argv, "--cert", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    assert obj["kind"] == kind
+    obj["d"] = d
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed certificate: d must be ") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv, kind", [(["17", "--s", "2"], "witness"), (["10", "--s", "2"], "exceptional-bundle")])

@@ -32,6 +32,7 @@ from seuclid.disks import (
     _corner_range,
     _outside_cells,
     _orbit_keeps_gaps_apart,
+    _orbits,
     _line_point,
     _piece_bound,
     boost_radius,
@@ -619,7 +620,7 @@ def test_certify_exceptional_dispatch():
     assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
     bundle = certify_exceptional(10, 2)
     assert isinstance(bundle, ExceptionalBundle)
-    assert bundle.gap_rationals == (Fraction(1, 3), Fraction(2, 3))
+    assert [line.y0 for line in bundle.gap_lines] == [Fraction(1, 3)]
     assert len(residual(make_field(10), SSet.of(2), bundle.k_max).gaps) == 2
     cert = certify_exceptional(35, 7)
     assert isinstance(cert, DiskCertificate)
@@ -632,7 +633,9 @@ def test_exceptional_bundle_rejects_tampering():
     bundle = certify_exceptional(15, 3)
     assert isinstance(bundle, ExceptionalBundle)
     assert verify_exceptional_bundle(bundle)
-    assert not verify_exceptional_bundle(replace(bundle, gap_rationals=(Fraction(1, 3),)))
+    # the line moved to y0 = 1/4, whose orbit {1/4, 3/4} outgrows the one gap
+    moved = replace(bundle.gap_lines[0], y0=Fraction(1, 4))
+    assert not verify_exceptional_bundle(replace(bundle, gap_lines=(moved,)))
     assert not verify_exceptional_bundle(replace(bundle, gap_lines=()))
     # any k_max whose residual gaps each hold one gap rational is a proof
     assert verify_exceptional_bundle(replace(bundle, k_max=27))
@@ -651,6 +654,33 @@ def test_built_in_bundles_pass_the_orbit_check(d, p, k_maxes):
     assert verify_exceptional_bundle(bundle)
     for k_max in k_maxes:
         assert verify_exceptional_bundle(replace(bundle, k_max=k_max)), k_max
+
+
+@pytest.mark.parametrize("d, p, rationals", [
+    (10, 2, {Fraction(1, 3), Fraction(2, 3)}),
+    (15, 3, {Fraction(1, 2)}),
+    (15, 5, {Fraction(1, 2)}),
+])
+def test_gap_rationals_are_the_orbits_of_the_lines(d, p, rationals):
+    """The sets that schema 3.0 stored as gap_rationals, derived from
+    the built-in lines, one per residual gap."""
+    bundle = certify_exceptional(d, p)
+    gaps = residual(make_field(d), SSet.of(p), bundle.k_max).gaps
+    assert _orbits(p, [line.y0 for line in bundle.gap_lines], len(gaps)) == rationals
+    assert len(gaps) == len(rationals)
+
+
+def test_orbits_stop_past_the_bound():
+    # 1/5 -> 2/5 -> 4/5 -> 3/5 under p = 2; 1/3 <-> 2/3; 1/2 -> 0 -> 0
+    assert _orbits(2, [Fraction(1, 5)], 4) == {Fraction(k, 5) for k in range(1, 5)}
+    assert _orbits(2, [Fraction(1, 5)], 3) is None
+    assert _orbits(2, [Fraction(1, 3), Fraction(2, 3)], 2) == {Fraction(1, 3), Fraction(2, 3)}
+    assert _orbits(2, [Fraction(1, 2)], 2) == {Fraction(1, 2), Fraction(0)}
+    assert _orbits(3, [], 0) == set()
+    # 3 has order (2^61 - 2)/9 mod the prime 2^61 - 1: stopped at once
+    start = time.perf_counter()
+    assert _orbits(3, [Fraction(1, 2**61 - 1)], 2) is None
+    assert time.perf_counter() - start < 0.1
 
 
 def _rational_ends(gaps):
@@ -733,7 +763,7 @@ def test_bundle_check_builds_no_surd_value(monkeypatch):
     assert at == residual(make_field(10), SSet.of(2), 64).gaps[0][0]
     for bundle in bundles:
         gaps = residual(make_field(bundle.d), SSet.of(bundle.p), bundle.k_max).gaps
-        assert len(gaps) == len(bundle.gap_rationals)
+        assert len(gaps) == len(_orbits(bundle.p, [line.y0 for line in bundle.gap_lines], len(gaps)))
         assert verify_exceptional_bundle(bundle)
 
 

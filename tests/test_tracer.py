@@ -49,7 +49,7 @@ def test_tracer_counts_the_surd_kernel_and_restores_it():
 def test_tracer_reads_arguments_by_name():
     # the per-call counters bind n_max, coeff_max and cert by name, so a
     # renamed parameter must fail here rather than in a traced run
-    _tag, xi0, _bound = witness.witness_bound(17, 2)
+    xi0, _bound = witness.witness_bound(17, 2)
     cert = disks.table_disk_certificate(7, 8)
     tracer = _load_tracer().Tracer(API)
     tracer.install()

@@ -10,7 +10,6 @@ from seuclid.disks import EXCEPTIONAL_PAIRS
 from seuclid.exact import SSet, squarefree
 from seuclid.field import KElement, make_field, s_norm
 from seuclid.witness import (
-    CaseTag,
     OracleReport,
     WitnessCertificate,
     certify_non_euclidean,
@@ -20,8 +19,7 @@ from seuclid.witness import (
 
 
 def test_dispatch_two_generic():
-    tag, xi0, bound = witness_bound(17, 2)
-    assert tag == CaseTag.TWO_GENERIC
+    xi0, bound = witness_bound(17, 2)
     assert xi0 == KElement(1, 1, 3, make_field(17))
     assert bound == 1
     cert = certify_non_euclidean(17, 2)
@@ -29,26 +27,23 @@ def test_dispatch_two_generic():
 
 
 def test_dispatch_thirteen_special():
-    tag, xi0, bound = witness_bound(13, 2)
-    assert tag == CaseTag.THIRTEEN_SPECIAL
+    xi0, bound = witness_bound(13, 2)
     assert xi0 == KElement(0, 1, 3, make_field(13))
     assert bound == Fraction(11, 9)
     assert isinstance(certify_non_euclidean(13, 2), WitnessCertificate)
 
 
 def test_dispatch_two_even_d():
-    tag, _xi0, bound = witness_bound(14, 2)
-    assert tag == CaseTag.TWO_EVEN_D
+    _xi0, bound = witness_bound(14, 2)
     assert bound == 1
     # d = 10 falls below the threshold: no witness (it is Euclidean)
     out = certify_non_euclidean(10, 2)
     assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
-    assert witness_bound(10, 2)[2] == Fraction(14, 18)
+    assert witness_bound(10, 2)[1] == Fraction(14, 18)
 
 
 def test_dispatch_two_mod8():
-    tag, _xi0, bound = witness_bound(35, 2)
-    assert tag == CaseTag.TWO_GENERIC
+    _xi0, bound = witness_bound(35, 2)
     assert bound == 1
     for d in (15, 7):
         out = witness_bound(d, 2)
@@ -56,8 +51,7 @@ def test_dispatch_two_mod8():
 
 
 def test_dispatch_odd_inert():
-    tag, xi0, bound = witness_bound(5, 11)
-    assert tag == CaseTag.ODD_INERT_23
+    xi0, bound = witness_bound(5, 11)
     assert xi0 == KElement(1, 1, 2, make_field(5))
     assert bound == Fraction(6, 4)
     assert isinstance(certify_non_euclidean(5, 11), WitnessCertificate)
@@ -66,19 +60,16 @@ def test_dispatch_odd_inert():
 
 
 def test_dispatch_odd_ramified():
-    tag, _xi0, bound = witness_bound(5, 5)
-    assert tag == CaseTag.ODD_RAMIFIED_23
+    _xi0, bound = witness_bound(5, 5)
     assert bound == min(Fraction(6, 4), Fraction(30, 20))
-    tag, _xi0, bound = witness_bound(35, 5)
-    assert tag == CaseTag.ODD_RAMIFIED_1MOD4
+    _xi0, bound = witness_bound(35, 5)
     assert bound == Fraction(60, 80)
     out = certify_non_euclidean(35, 5)
     assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
 
 
 def test_dispatch_odd_inert_half_basis():
-    tag, _xi0, bound = witness_bound(15, 7)
-    assert tag == CaseTag.ODD_INERT_1MOD4
+    _xi0, bound = witness_bound(15, 7)
     assert bound == 1
     assert isinstance(certify_non_euclidean(15, 7), WitnessCertificate)
 
@@ -109,7 +100,7 @@ def test_witness_bound_holds_on_sample_grid():
     """The analytic lower bound really bounds N_S(xi0 - alpha) on a
     brute-force sample of O_S."""
     for d, p in ((17, 2), (13, 2), (5, 11), (23, 5)):
-        tag, xi0, bound = witness_bound(d, p)
+        xi0, bound = witness_bound(d, p)
         fld = xi0.field
         s = SSet.of(p)
         for n in (1, p, p * p):
@@ -228,7 +219,7 @@ def test_oracle_equals_full_grid_scan(args):
 
 
 def test_oracle_equals_full_grid_scan_on_witnesses():
-    # paper_survey witnesses, every case tag among them
+    # paper_survey witnesses, every case of witness_bound among them
     pairs = ((13, 2), (14, 2), (17, 2), (6, 3), (19, 3), (39, 3),
              (5, 5), (23, 5), (15, 7), (22, 11), (37, 13), (35, 2), (43, 2))
     for d, p in pairs:
@@ -261,4 +252,4 @@ def test_exceptional_pairs_note():
     for d, p in sorted(EXCEPTIONAL_PAIRS):
         out = certify_non_euclidean(d, p)
         assert isinstance(out, Verdict) and out.certificate is None and out.kind == "unknown"
-        assert out.reason == f"lower bound {witness_bound(d, p)[2]} < 1 (exceptional pair, resolved by certify_exceptional)"
+        assert out.reason == f"lower bound {witness_bound(d, p)[1]} < 1 (exceptional pair, resolved by certify_exceptional)"
