@@ -4,8 +4,9 @@ The canonical serialization is deterministic (sorted keys, no
 timestamps); rationals are encoded as integer strings so nothing passes
 through a lossy numeric type.  Verifying a loaded certificate uses only
 the file contents plus (d, S).  Keys that earlier schemas wrote and the
-checker now derives (a witness's `case_tag`, a bundle's `gap_rationals`)
-are ignored, not trusted.
+checker now derives (a witness's `case_tag`, a bundle's `gap_rationals`
+and `k_max`) are ignored, not trusted; a file must declare one of the
+schema versions 1.0 to 5.0.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Any
 from . import __version__
 from .covering import CoverCertificate, Verdict, replay_chain
 from .disks import (
+    MAX_BUNDLE_K_MAX,
     BoundPiece,
     Disk,
     DiskCertificate,
@@ -31,28 +33,24 @@ from .exact import SSet, s_part_strip
 from .field import KElement, QuadField, make_field
 from .witness import WitnessCertificate, witness_bound
 
-SCHEMA_VERSION = "4.0"
+SCHEMA_VERSION = "5.0"
+_READABLE_VERSIONS = ("1.0", "2.0", "3.0", "4.0", SCHEMA_VERSION)  # keys a later one dropped are ignored
 
-# Limits on the checker's work for one file.  A bundle's residual builds
-# all intervals with S-smooth k <= k_max (the built-ins use 64, 81 and
-# 125); each link of a cover chain must raise the reach, so the chain
-# holds each interval with k <= k_max at most once, and that k_max has
-# the same cap (a Theorem-2 cover has k_max = k0 <= 1154 for
-# d <= MAX_D); a disk scan computes one corner range per disk in each
-# of its depth + 1 columns (the built-ins use 14 and 20 disks, the
-# benchmark files depth 500), and a gap line of n pieces takes at most
-# (2*n + 2)^2 integer sign tests, two to place each of its 2*n + 2 ends
-# (0, 1 and the span ends) in [0, 1] and two per piece at each (the
-# built-ins have at most 5 pieces in all); a file past any limit is
-# rejected before any of that work.  A d or prime of s over
-# MAX_D is a parse error before the trial divisions of `squarefree` and
-# `is_prime`.  After parsing, a cover costs O(links + sum of pi(k)) over
-# its distinct k: a gcd per link, one S-strip per distinct k, which stops
-# at the first prime of s above k, and the replay.  Before any parsing, a
-# file over MAX_FILE_BYTES is rejected after reading at most one byte
-# more than the cap: the largest file the producer writes, the cover of
-# d = 999,994 (405,325 links), takes 21.1 MB from `save_certificate`.
-MAX_BUNDLE_K_MAX = 4096
+# Limits on the checker's work for one file; a file past one is rejected
+# before that work.  A bundle's check tries the residuals at k_max = 1,
+# p, p^2, ... up to MAX_BUNDLE_K_MAX, defined beside it in `disks` (the
+# built-ins settle at 2, 1 and 1; all 13 residuals for p = 2 take about
+# 8 ms).  A cover's k_max has the same cap, and each link of its chain
+# must raise the reach, so the chain holds each interval with k <= k_max
+# at most once (a Theorem-2 cover has k_max = k0 <= 1154 for
+# d <= MAX_D); after parsing a cover costs O(links + sum of pi(k)) over
+# its distinct k.  A disk scan computes one corner range per disk in
+# each of its depth + 1 columns, and a gap line of n pieces takes at
+# most (2*n + 2)^2 integer sign tests.  A d or prime of s over MAX_D is
+# a parse error before the trial divisions of `squarefree` and
+# `is_prime`, and a file over MAX_FILE_BYTES before any parsing, after
+# reading at most one byte more (the producer's largest file, the cover
+# of d = 999,994, takes 21.1 MB from `save_certificate`).
 MAX_SUBDIVISION_DEPTH = 1000
 MAX_DISKS = 256
 MAX_GAP_LINE_PIECES = 256
@@ -160,7 +158,6 @@ def certificate_to_obj(cert: Certificate) -> dict[str, Any]:
             "d": cert.d,
             "s": [cert.p],
             "payload": {
-                "k_max": cert.k_max,
                 "gap_lines": [
                     {
                         "y0": _frac(line.y0),
@@ -181,9 +178,12 @@ def _piece_to_obj(piece: BoundPiece | PointPiece) -> dict[str, Any]:
 
 def certificate_from_obj(obj: Any) -> Certificate:
     """Parse a certificate object; raises CertificateParseError on any
-    structural problem, a d that is not a squarefree positive integer
-    included, for every kind."""
+    structural problem, an unknown schema_version and a d that is not a
+    squarefree positive integer included, for every kind."""
     try:
+        version = obj["schema_version"]
+        if version not in _READABLE_VERSIONS:
+            raise CertificateParseError(f"unknown schema_version {version!r}, expected one of {_READABLE_VERSIONS}")
         kind = obj["kind"]
         d = _typed(obj["d"], int, "d")
         primes = [_typed(p, int, "s") for p in obj["s"]]
@@ -214,25 +214,14 @@ def certificate_from_obj(obj: Any) -> Certificate:
             depth = _typed(payload["subdivision_depth"], int, "subdivision_depth")
             return DiskCertificate(d=d, s=s, disks=disks, subdivision_depth=depth)
         if kind == "witness":
-            p = _one_prime(kind, s)
-            return WitnessCertificate(
-                d=d, p=p, xi0=_read_elem(payload["xi0"], fld), bound=_read_frac(payload["bound"])
-            )
+            xi0, bound = _read_elem(payload["xi0"], fld), _read_frac(payload["bound"])
+            return WitnessCertificate(d=d, p=_one_prime(kind, s), xi0=xi0, bound=bound)
         if kind == "exceptional-bundle":
-            p = _one_prime(kind, s)
             lines = tuple(
-                GapLineCert(
-                    y0=_read_frac(line["y0"]),
-                    pieces=tuple(_piece_from_obj(piece, fld) for piece in line["pieces"]),
-                )
+                GapLineCert(_read_frac(line["y0"]), tuple(_piece_from_obj(piece, fld) for piece in line["pieces"]))
                 for line in payload["gap_lines"]
             )
-            return ExceptionalBundle(
-                d=d,
-                p=p,
-                k_max=_typed(payload["k_max"], int, "k_max"),
-                gap_lines=lines,
-            )
+            return ExceptionalBundle(d=d, p=_one_prime(kind, s), gap_lines=lines)
         raise CertificateParseError(f"unknown certificate kind: {kind!r}")
     except CertificateParseError:
         raise
@@ -257,8 +246,8 @@ def _piece_from_obj(obj: Any, fld: QuadField) -> BoundPiece | PointPiece:
 
 def verify_certificate_obj(obj: Any) -> bool:
     """Re-run the appropriate verifier from file contents alone; a file
-    past a work limit (cover or bundle `k_max` over MAX_BUNDLE_K_MAX,
-    more than MAX_GAP_LINE_PIECES pieces over all gap lines,
+    past a work limit (cover `k_max` over MAX_BUNDLE_K_MAX, more than
+    MAX_GAP_LINE_PIECES pieces over all gap lines,
     `subdivision_depth` over MAX_SUBDIVISION_DEPTH, more than MAX_DISKS
     disks) fails at once.  A cover is then checked in one pass over its
     chain, with each distinct k's S-smoothness tested once, and replayed:
@@ -305,8 +294,6 @@ def verify_certificate_obj(obj: Any) -> bool:
         xi0, bound = dispatch
         return xi0 == cert.xi0 and bound == cert.bound and bound >= 1
     if isinstance(cert, ExceptionalBundle):
-        if cert.k_max > MAX_BUNDLE_K_MAX:
-            return False
         if sum(len(line.pieces) for line in cert.gap_lines) > MAX_GAP_LINE_PIECES:
             return False
         return verify_exceptional_bundle(cert)

@@ -7,8 +7,8 @@ gap-line verifier used for d = 10 and d = 15, which derives from each
 alpha the quadratic bounding its S-norm distance along the line and
 checks coverage end by end with integer sign tests (`surd_sign`),
 never ordering two pieces' ends against each other.  The bundle check
-derives the gap rationals as the p-orbits of its lines' y0, places each
-one and follows y -> p*y across the residual gaps on their integer ends
+derives its k_max and the gap rationals (the p-orbits of its lines' y0)
+and follows y -> p*y across the residual gaps on their integer ends
 (a + b*sqrt(3/D))/c, with `surd_sign` and an exact integer floor.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .covering import End, Verdict, residual
 from .exact import SSet, s_part_strip, surd_sign
-from .field import KElement, QuadField, denom_s, make_field, s_norm
+from .field import KElement, QuadField, denom_s, make_field
 
 __all__ = [
     "Disk",
@@ -31,6 +31,7 @@ __all__ = [
     "CertificationError",
     "EXCEPTIONAL_PAIRS",
     "MAX_REFINE",
+    "MAX_BUNDLE_K_MAX",
     "boost_radius",
     "verify_disk_cert",
     "find_uncovered_cell",
@@ -211,42 +212,46 @@ class GapLineCert:
     pieces: tuple[BoundPiece | PointPiece, ...]
 
 
-def _line_point(fld: QuadField, x: Fraction, y0: Fraction) -> KElement:
-    den = x.denominator * y0.denominator
-    return KElement(
-        x.numerator * y0.denominator, y0.numerator * x.denominator, den, fld
-    )
+def _line_form(fld: QuadField, y0: Fraction, alpha: KElement) -> tuple[int, int, int]:
+    """(F2, F1, F0) with N(x + y0*w - alpha) = (F2*r^2 + F1*r*t + F0*t^2)/(v*c*t)^2
+    at x = r/t, for y0 = u/v and alpha = (a + b*w)/c: the norm form at
+    (v*(c*r - a*t), beta*t), beta = c*u - b*v."""
+    a, b, c, v = alpha.a, alpha.b, alpha.c, y0.denominator
+    beta = c * y0.numerator - b * v
+    return v * v * c * c, v * c * (fld.h * beta - 2 * v * a), v * v * a * a - fld.h * v * a * beta + fld.e * beta * beta
 
 
-def _piece_bound(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tuple[Fraction, Fraction, Fraction]:
-    """(a2, a1, a0) with N_S(x + y0*w - alpha) <= a2*x^2 + a1*x + a0 for
-    every x whose denominator is coprime to S (see verify_gap_line)."""
-    a, b, c = alpha.a, alpha.b, alpha.c
-    u, v = y0.numerator, y0.denominator
-    h, e = fld.h, fld.e
-    beta = c * u - b * v
-    g = math.gcd(v * v * c * c, v * c * (h * beta - 2 * v * a), v * v * a * a - h * v * a * beta + e * beta * beta)
-    m = Fraction(c * c * s_part_strip(g, s), g)
-    x0, tau = Fraction(a, c), y0 - Fraction(b, c)
-    # N(X + tau*w) = X^2 + h*tau*X + e*tau^2 at X = x - x0
-    return m, m * (h * tau - 2 * x0), m * (x0 * x0 - h * tau * x0 + e * tau * tau)
+def _bound_quadratic(fld: QuadField, s: SSet, y0: Fraction, alpha: KElement) -> tuple[int, int, int]:
+    """A bound piece's integer quadratic (A, B, C), A > 0 (see verify_gap_line)."""
+    F2, F1, F0 = _line_form(fld, y0, alpha)
+    g = math.gcd(F2, F1, F0)
+    m = s_part_strip(g, s)
+    return m * F2 // g, m * F1 // g, m * F0 // g - y0.denominator**2
+
+
+def _point_holds(fld: QuadField, s: SSet, y0: Fraction, x: Fraction, alpha: KElement) -> bool:
+    """Is N_S(x + y0*w - alpha) below 1?  (See verify_gap_line.)"""
+    F2, F1, F0 = _line_form(fld, y0, alpha)
+    r, t = x.numerator, x.denominator
+    n = F2 * r * r + F1 * r * t + F0 * t * t
+    return n == 0 or s_part_strip(n, s) < s_part_strip((y0.denominator * alpha.c * t) ** 2, s)
 
 
 def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
     """Verify every piece, then check that the bound pieces' spans and
     the point pieces cover [0, 1].
 
-    Every alpha must be an S-integer; point pieces get an exact S-norm.
-    A bound piece's quadratic is derived, not read: with alpha =
-    (a + b*w)/c, y0 = u/v and x = r/t (t coprime to S), the norm is
-    F(r, t)/(c*t*v)^2 for an integral form F with content g.  The
-    S-part of that denominator is exactly c^2 and that of F(r, t) is at
-    least g's, so N_S <= m*N(x - a/c + (y0 - b/c)*w) with
-    m = c^2 * s_part_strip(g, S)/g.  (Points whose x has a factor from
-    S in its denominator are left to the bundle's p-orbit check.)  The
-    piece covers its span, where that bound is below 1: times a common
-    denominator, bound - 1 is q(x) = A*x^2 + B*x + C in integers, A > 0,
-    and the span lies between the roots (-B -/+ sqrt(disc))/(2*A),
+    Every alpha must be an S-integer.  Both piece kinds read off one
+    integral form: the norm at x = r/t is F(r, t)/(v*c*t)^2 (_line_form).
+    A point piece needs F(r, t) = 0 or the S-free part of F(r, t) below
+    that of (v*c*t)^2, the exact S-norm below 1.  A bound piece's
+    quadratic is derived, not read: for t coprime to S the S-part of
+    (v*c*t)^2 is exactly c^2 and that of F(r, t) at least g/m, g the
+    content of F and m = s_part_strip(g, S), so N_S <= (m/g)*F(r, t)/(v*t)^2,
+    below 1 where q(x) = A*x^2 + B*x + C < 0 for (A, B, C) = (m*F2/g,
+    m*F1/g, m*F0/g - v^2).  (Points whose x has a factor from S in its
+    denominator are left to the bundle's p-orbit check.)  The piece
+    covers its span, between the roots (-B -/+ sqrt(disc))/(2*A) of q,
     disc = B^2 - 4*A*C.  A piece with disc <= 0 has no span and fails; a
     piece whose (A, B, C) equals an earlier one's has its span, and is
     skipped after its S-integer check.
@@ -269,13 +274,11 @@ def verify_gap_line(fld: QuadField, s: SSet, cert: GapLineCert) -> bool:
         if s_part_strip(piece.alpha.c, s) != 1:
             return False  # alpha must be an S-integer
         if isinstance(piece, PointPiece):
-            if s_norm(_line_point(fld, piece.x, cert.y0) - piece.alpha, s) >= 1:
+            if not _point_holds(fld, s, cert.y0, piece.x, piece.alpha):
                 return False
             points.add(piece.x)
             continue
-        a2, a1, a0 = _piece_bound(fld, s, cert.y0, piece.alpha)
-        n = math.lcm(a2.denominator, a1.denominator, a0.denominator)
-        quad = tuple(int(q * n) for q in (a2, a1, a0 - 1))
+        quad = _bound_quadratic(fld, s, cert.y0, piece.alpha)
         if quad in quads:
             continue  # an equal quadratic has the same span
         A, B, C = quad
@@ -366,9 +369,9 @@ def gap_line_certificate(d: int, p: int) -> GapLineCert:
     if (d, p) == (10, 2):
         # line y = 1/3; for x = r/s with s odd the S-norms are exactly
         # 2x^2+5/9 (alpha=w/2), 2(1-x)^2+5/9 (alpha=(2+w)/2) and
-        # 8(x-1/2)^2+5/9 (alpha=(2+w)/4), the bounds _piece_bound derives;
-        # they are below 1 on |x| < sqrt(2)/3, |x - 1| < sqrt(2)/3 and
-        # |x - 1/2| < sqrt(2)/6
+        # 8(x-1/2)^2+5/9 (alpha=(2+w)/4), and 9*(bound - 1) is the
+        # quadratic _bound_quadratic derives; they are below 1 on
+        # |x| < sqrt(2)/3, |x - 1| < sqrt(2)/3 and |x - 1/2| < sqrt(2)/6
         return GapLineCert(
             y0=Fraction(1, 3),
             pieces=tuple(BoundPiece(KElement(a, 1, c, fld)) for a, c in ((0, 2), (2, 2), (2, 4))),
@@ -398,12 +401,12 @@ class ExceptionalBundle:
     """Gap-line certificates for the cases where the interval family
     misses [0, 1] by finitely many points.
 
-    The checker recomputes the residual gaps of the intervals with
-    S-smooth k <= k_max and derives the gap rationals as the orbits of
-    the lines' y0 under y -> p*y mod 1; each gap must hold exactly one
-    of them, so there are no more of them than gaps.  Scaling by p
-    preserves the S-norm condition, so a point on the line y is settled
-    once its image on the line p*y mod 1 is.
+    A bundle is its gap lines.  At a k_max the checker recomputes the
+    residual gaps of the intervals with S-smooth k <= k_max and derives
+    the gap rationals as the orbits of the lines' y0 under y -> p*y mod 1;
+    each gap must hold exactly one of them, so there are no more of them
+    than gaps.  Scaling by p preserves the S-norm condition, so a point
+    on the line y is settled once its image on the line p*y mod 1 is.
 
     The orbits are all of the gap rationals: the denominator v of each
     y0 is prime to p (verify_gap_line), so y -> p*y mod 1 permutes the
@@ -415,11 +418,15 @@ class ExceptionalBundle:
     lands in the gap around r' at p times the distance from its
     rational.  The gaps are bounded, so after finitely many steps the
     point lies in no gap, on a line the intervals cover.
+
+    This uses only that the intervals cover each point outside the gaps,
+    true at any k_max, so the first k_max = 1, p, p^2, ... (the S-smooth
+    k) up to MAX_BUNDLE_K_MAX whose gaps the orbits settle proves the
+    bundle; the built-ins settle at 2, 1 and 1.
     """
 
     d: int
     p: int
-    k_max: int
     gap_lines: tuple[GapLineCert, ...]
 
 
@@ -485,16 +492,13 @@ def _orbits(p: int, ys: list[Fraction], most: int) -> set[Fraction] | None:
     return seen
 
 
-def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
-    """The residual gaps at k_max, the gap rationals derived from the
-    lines (see ExceptionalBundle), one of them in each gap, the orbit
-    check and every gap line."""
-    if bundle.k_max < 1:
-        return False
-    fld = make_field(bundle.d)
-    s = SSet.of(bundle.p)
-    gaps = residual(fld, s, bundle.k_max).gaps
-    rationals = _orbits(bundle.p, [line.y0 for line in bundle.gap_lines], len(gaps))
+MAX_BUNDLE_K_MAX = 4096  # the bundle check's last k_max: 13 residuals for p = 2
+
+
+def _orbits_settle(fld: QuadField, p: int, ys: list[Fraction], k_max: int) -> bool:
+    """Is there one orbit rational of ys in each gap at k_max, and does the orbit check pass?"""
+    gaps = residual(fld, SSet.of(p), k_max).gaps
+    rationals = _orbits(p, ys, len(gaps))
     if rationals is None:
         return False
     # each residual gap contains exactly one of them; the gaps are
@@ -505,9 +509,18 @@ def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
         if len(inside) != 1:
             return False
         around[inside[0]] = (lo, hi)
-    if not _orbit_keeps_gaps_apart(fld.D, bundle.p, around):
+    return _orbit_keeps_gaps_apart(fld.D, p, around)
+
+
+def verify_exceptional_bundle(bundle: ExceptionalBundle) -> bool:
+    """Every gap line, which does not depend on k_max, then k_max = 1, p,
+    p^2, ... up to the first that settles (see ExceptionalBundle)."""
+    fld = make_field(bundle.d)
+    if not all(verify_gap_line(fld, SSet.of(bundle.p), cert) for cert in bundle.gap_lines):
         return False
-    return all(verify_gap_line(fld, s, cert) for cert in bundle.gap_lines)
+    ys = [line.y0 for line in bundle.gap_lines]
+    powers = (bundle.p**i for i in range(MAX_BUNDLE_K_MAX.bit_length()))  # p >= 2: all of them up to the cap
+    return any(_orbits_settle(fld, bundle.p, ys, k_max) for k_max in powers if k_max <= MAX_BUNDLE_K_MAX)
 
 
 def certify_exceptional(d: int, p: int) -> DiskCertificate | ExceptionalBundle | Verdict:
@@ -521,8 +534,7 @@ def certify_exceptional(d: int, p: int) -> DiskCertificate | ExceptionalBundle |
         if not verify_disk_cert(cert):
             raise CertificationError(f"disk table for (35, {p}) failed verification")
         return cert
-    k_max = {(10, 2): 64, (15, 3): 81, (15, 5): 125}[d, p]
-    bundle = ExceptionalBundle(d=d, p=p, k_max=k_max, gap_lines=(gap_line_certificate(d, p),))
+    bundle = ExceptionalBundle(d=d, p=p, gap_lines=(gap_line_certificate(d, p),))
     if not verify_exceptional_bundle(bundle):
         raise CertificationError(f"exceptional bundle for ({d}, {p}) failed verification")
     return bundle

@@ -1,8 +1,11 @@
 """References for the covering, gap-line, bundle and disk properties.
 
 `_sweep` is the exact sort-and-sweep over `SurdValue` ends that once
-served both `residual` and `verify_gap_line`; `_piece_span` derives a
-bound piece's span as `SurdValue`s.  The library now computes residual
+served both `residual` and `verify_gap_line`; `_piece_bound` is a bound
+piece's quadratic as `Fraction`s and `_line_point` a point of the line
+as a `KElement`, which `verify_gap_line` once used for bound and point
+pieces before it read both off one integral form; `_piece_span` derives
+a bound piece's span as `SurdValue`s.  The library now computes residual
 gaps from the integer cover keys as integer ends (a, b, c) =
 (a + b*sqrt(3/D))/c and checks gap lines end by end with `surd_sign`;
 the properties compare both against these references (`surd_gaps` maps
@@ -17,9 +20,9 @@ from typing import NamedTuple
 
 import mpmath
 
-from seuclid.disks import PointPiece, _line_point, _piece_bound
+from seuclid.disks import PointPiece
 from seuclid.exact import SurdValue, s_part_strip, surd_cmp, surd_sign
-from seuclid.field import s_norm
+from seuclid.field import KElement, s_norm
 
 _ZERO, _ONE = SurdValue.rational(0), SurdValue.rational(1)
 
@@ -73,6 +76,28 @@ def _sweep(items):
     if c < 0 or (c == 0 and not covered):
         gaps.append((reach, _ONE))
     return gaps
+
+
+def _line_point(fld, x, y0):
+    """The point x + y0*w of K."""
+    den = x.denominator * y0.denominator
+    return KElement(x.numerator * y0.denominator, y0.numerator * x.denominator, den, fld)
+
+
+def _piece_bound(fld, s, y0, alpha):
+    """(a2, a1, a0) with N_S(x + y0*w - alpha) <= a2*x^2 + a1*x + a0 for
+    every x whose denominator is coprime to S: m*N(x - x0 + tau*w) with
+    x0 = a/c, tau = y0 - b/c and m = c^2*s_part_strip(g, S)/g, where g is
+    the content of the integral norm form along the line."""
+    a, b, c = alpha.a, alpha.b, alpha.c
+    u, v = y0.numerator, y0.denominator
+    h, e = fld.h, fld.e
+    beta = c * u - b * v
+    g = math.gcd(v * v * c * c, v * c * (h * beta - 2 * v * a), v * v * a * a - h * v * a * beta + e * beta * beta)
+    m = Fraction(c * c * s_part_strip(g, s), g)
+    x0, tau = Fraction(a, c), y0 - Fraction(b, c)
+    # N(X + tau*w) = X^2 + h*tau*X + e*tau^2 at X = x - x0
+    return m, m * (h * tau - 2 * x0), m * (x0 * x0 - h * tau * x0 + e * tau * tau)
 
 
 def _piece_span(fld, s, y0, alpha):

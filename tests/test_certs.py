@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seuclid import certs
+from seuclid import certs, covering, disks
 from seuclid.certs import (
     MAX_BUNDLE_K_MAX,
     MAX_SUBDIVISION_DEPTH,
@@ -224,9 +224,10 @@ def test_verify_tests_each_denominator_once(monkeypatch):
 
 # sha256 over the canonical JSON (one line each) of the Theorem-2 cover
 # certificates for squarefree d <= 300 and the three gap-line bundles;
-# schema 4.0: a bound piece is only {type, alpha}, and a bundle has no
-# gap_rationals (the 3.0 bytes otherwise, but for the version string)
-PINNED_DIGEST = "a7c725919ac68541b047f49105a1a41aa883018c7ee72f6fc087a18296122db3"
+# schema 5.0: a bound piece is only {type, alpha}, and a bundle payload
+# is only {gap_lines} (the 4.0 bytes otherwise, but for the version
+# string)
+PINNED_DIGEST = "c0eac86ef757566ceaea9e1863cfc645babbf9591ca5db9b9a36b563f9b9bf34"
 
 
 def test_certificate_bytes_pinned():
@@ -244,9 +245,9 @@ def test_certificate_bytes_pinned():
 
 
 # sha256 over the canonical JSON (one line each) of all 1824 Theorem-2
-# cover certificates for squarefree d <= 3000, schema 4.0 (the 2.0 and
-# 3.0 bytes but for the version string)
-PINNED_THEOREM2_DIGEST = "36c99b3b30a57e8e78bec8480a4716212424db27ce5784d802cab0fc2eb80d96"
+# cover certificates for squarefree d <= 3000, schema 5.0 (the 2.0 to
+# 4.0 bytes but for the version string)
+PINNED_THEOREM2_DIGEST = "49c636672c01b3e8d1f1e493a5c796b303061038537899eefdc179120e03ec4f"
 
 
 def test_theorem2_bytes_pinned_to_3000():
@@ -266,40 +267,53 @@ _ZERO = {"num": "0", "den": "1"}
 _ONE = {"num": "1", "den": "1"}
 
 
+# alpha = 0 claiming the bound 0*x^2 + 0*x + 0 on all of [0, 1], with
+# the keys that schema 1.0 and 2.0 wrote
+_ZERO_GAP_PIECE = {
+    "type": "bound", "alpha": {"a": 0, "b": 0, "c": 1},
+    "a2": _ZERO, "a1": _ZERO, "a0": _ZERO,
+    "lo": {"a": _ZERO, "b": _ZERO, "m": 0}, "hi": {"a": _ONE, "b": _ZERO, "m": 0},
+    "lo_closed": True, "hi_closed": True,
+}
+
+
+def _raise_residual(*args):
+    raise AssertionError("a residual was computed")
+
+
 @pytest.mark.parametrize("d, p", [(10, 2), (15, 3), (15, 5)])
-def test_verify_rejects_zero_gap_line(d, p):
-    # alpha = 0 claiming the bound 0*x^2 + 0*x + 0 on all of [0, 1]
+def test_verify_rejects_zero_gap_line(d, p, monkeypatch):
+    """The benchmark's zero-gap forgery; the lines do not depend on
+    k_max, so they are checked first, before any residual."""
     obj = certificate_to_obj(certify_exceptional(d, p))
     for line in obj["payload"]["gap_lines"]:
-        line["pieces"] = [{
-            "type": "bound", "alpha": {"a": 0, "b": 0, "c": 1},
-            "a2": _ZERO, "a1": _ZERO, "a0": _ZERO,
-            "lo": {"a": _ZERO, "b": _ZERO, "m": 0}, "hi": {"a": _ONE, "b": _ZERO, "m": 0},
-            "lo_closed": True, "hi_closed": True,
-        }]
+        line["pieces"] = [copy.deepcopy(_ZERO_GAP_PIECE)]
+    monkeypatch.setattr(covering, "residual", _raise_residual)
+    monkeypatch.setattr(disks, "residual", _raise_residual)
     assert not verify_certificate_obj(obj)
 
 
 def test_bundle_payload_keys():
     obj = certificate_to_obj(certify_exceptional(10, 2))
-    assert obj["schema_version"] == "4.0"
-    assert set(obj["payload"]) == {"k_max", "gap_lines"}
+    assert obj["schema_version"] == "5.0"
+    assert set(obj["payload"]) == {"gap_lines"}
     for piece in obj["payload"]["gap_lines"][0]["pieces"]:
         assert set(piece) == {"type", "alpha"}
 
 
 def test_witness_payload_keys():
     obj = certificate_to_obj(certify_non_euclidean(5, 11))
-    assert obj["schema_version"] == "4.0"
+    assert obj["schema_version"] == "5.0"
     assert obj["payload"] == {"xi0": {"a": 1, "b": 1, "c": 2}, "bound": {"num": "3", "den": "2"}}
 
 
 def test_schema_1_0_bundle_still_verifies():
-    """A 1.0 file carries each piece's quadratic and the residual gaps;
-    the parser ignores both."""
+    """A 1.0 file carries k_max, each piece's quadratic and the residual
+    gaps; the parser ignores all three."""
     obj = certificate_to_obj(certify_exceptional(10, 2))
     obj["schema_version"] = "1.0"
-    fld, k_max = make_field(10), obj["payload"]["k_max"]
+    fld, k_max = make_field(10), 64
+    obj["payload"]["k_max"] = k_max
     # a gap runs from the right end (j, 1, k) of one interval to the left
     # end (j, -1, k) of another
     legacy = [
@@ -387,16 +401,72 @@ SCHEMA_3_0_BUNDLE_15_3 = (
 @pytest.mark.parametrize("text", [SCHEMA_3_0_WITNESS_5_11, SCHEMA_3_0_BUNDLE_10_2, SCHEMA_3_0_BUNDLE_15_3],
                          ids=["witness (5, 11)", "bundle (10, 2)", "bundle (15, 3)"])
 def test_schema_3_0_files_still_verify(text):
-    """The keys that 4.0 dropped are ignored, not trusted: a 3.0 file
-    is the 4.0 one plus `case_tag` or `gap_rationals`."""
+    """The keys that 4.0 and 5.0 dropped are ignored, not trusted: a 3.0
+    file is the 5.0 one plus `case_tag`, or `gap_rationals` and `k_max`."""
     obj = json.loads(text)
     assert obj["schema_version"] == "3.0"
     assert verify_certificate_obj(obj) is True
-    legacy = {"witness": "case_tag", "exceptional-bundle": "gap_rationals"}[obj["kind"]]
+    legacy = {"witness": {"case_tag"}, "exceptional-bundle": {"gap_rationals", "k_max"}}[obj["kind"]]
     current = certificate_to_obj(certificate_from_obj(obj))
-    assert current == dict(obj, schema_version="4.0", payload={
-        key: value for key, value in obj["payload"].items() if key != legacy
+    assert current == dict(obj, schema_version="5.0", payload={
+        key: value for key, value in obj["payload"].items() if key not in legacy
     })
+
+
+# the canonical objects that schema 4.0 wrote for the (5, 11) witness
+# and for the (10, 2) and (15, 5) bundles, with their `k_max`
+SCHEMA_4_0_WITNESS_5_11 = (
+    '{"d":5,"kind":"witness","payload":{"bound":{"den":"2","num":"3"},"xi0":{"a":1,"b":1,"c":2}},'
+    '"s":[11],"schema_version":"4.0"}'
+)
+SCHEMA_4_0_BUNDLE_10_2 = (
+    '{"d":10,"kind":"exceptional-bundle","payload":{"gap_lines":[{"pieces":[{"alpha":{"a":0,"b":1,'
+    '"c":2},"type":"bound"},{"alpha":{"a":2,"b":1,"c":2},"type":"bound"},{"alpha":{"a":2,"b":1,'
+    '"c":4},"type":"bound"}],"y0":{"den":"3","num":"1"}}],"k_max":64},"s":[2],"schema_version":"4.0"}'
+)
+SCHEMA_4_0_BUNDLE_15_5 = (
+    '{"d":15,"kind":"exceptional-bundle","payload":{"gap_lines":[{"pieces":[{"alpha":{"a":0,"b":1,'
+    '"c":1},"type":"bound"},{"alpha":{"a":1,"b":0,"c":1},"type":"bound"},{"alpha":{"a":-1,"b":0,'
+    '"c":1},"type":"point","x":{"den":"1","num":"0"}},{"alpha":{"a":2,"b":0,"c":1},"type":"point",'
+    '"x":{"den":"2","num":"1"}},{"alpha":{"a":0,"b":0,"c":1},"type":"point","x":{"den":"1",'
+    '"num":"1"}}],"y0":{"den":"2","num":"1"}}],"k_max":125},"s":[5],"schema_version":"4.0"}'
+)
+
+
+@pytest.mark.parametrize("text", [SCHEMA_4_0_WITNESS_5_11, SCHEMA_4_0_BUNDLE_10_2, SCHEMA_4_0_BUNDLE_15_5],
+                         ids=["witness (5, 11)", "bundle (10, 2)", "bundle (15, 5)"])
+def test_schema_4_0_files_still_verify(text):
+    """A 4.0 file is the 5.0 one but for the version string and, in a
+    bundle, the `k_max` that 5.0 derives."""
+    obj = json.loads(text)
+    assert obj["schema_version"] == "4.0"
+    assert verify_certificate_obj(obj) is True
+    current = certificate_to_obj(certificate_from_obj(obj))
+    assert current == dict(obj, schema_version="5.0", payload={
+        key: value for key, value in obj["payload"].items() if key != "k_max"
+    })
+
+
+@pytest.mark.parametrize("version", ["99.0", "4", "5", 5.0, None, ["5.0"], "delete"])
+def test_unknown_schema_version_is_a_parse_error(version):
+    """Only the versions 1.0 to 5.0 are read; any other value, or no
+    `schema_version` at all, fails to parse."""
+    obj = json.loads(SCHEMA_4_0_WITNESS_5_11)
+    if version == "delete":
+        del obj["schema_version"]
+    else:
+        obj["schema_version"] = version
+    with pytest.raises(CertificateParseError, match="schema_version"):
+        certificate_from_obj(obj)
+    with pytest.raises(CertificateParseError):
+        verify_certificate_obj(obj)
+
+
+@pytest.mark.parametrize("version", ["1.0", "2.0", "3.0", "4.0", "5.0"])
+def test_every_readable_schema_version_verifies(version):
+    obj = json.loads(SCHEMA_4_0_WITNESS_5_11)
+    obj["schema_version"] = version
+    assert verify_certificate_obj(obj) is True
 
 
 def _legacy_bundle(text, mutate):
@@ -436,6 +506,24 @@ def test_bundle_forgeries_rejected(text, mutate):
     assert verify_certificate_obj(_legacy_bundle(text, mutate)) is False
 
 
+def test_bundle_whose_orbits_never_settle_rejected_at_once(monkeypatch):
+    """The line y0 = 1/5 verifies alone, but its orbit of four rationals
+    outnumbers the residual gaps of (10, 2) at every k_max: the search
+    gives up at MAX_BUNDLE_K_MAX = 2^12, after 13 residuals."""
+    obj = _legacy_bundle(SCHEMA_3_0_BUNDLE_10_2, lambda lines: lines.__setitem__(slice(None), [_LINE_1_5]))
+    k_maxes = []
+
+    def counted(fld, s, k_max):
+        k_maxes.append(k_max)
+        return residual(fld, s, k_max)
+
+    monkeypatch.setattr(disks, "residual", counted)
+    start = time.perf_counter()
+    assert verify_certificate_obj(obj) is False
+    assert time.perf_counter() - start < 1
+    assert len(k_maxes) <= 13 and max(k_maxes) <= MAX_BUNDLE_K_MAX
+
+
 def test_bundle_with_a_long_orbit_rejected_at_once():
     """The line y0 = 1/(2^61 - 1) verifies alone, and 3 has a vast order
     mod 2^61 - 1: the orbit stops once it outgrows the one gap of (15, 3)."""
@@ -471,11 +559,18 @@ def test_verify_rejects_bundle_alpha_outside_o_s():
     assert verify_certificate_obj(obj) is False
 
 
-@pytest.mark.parametrize("k_max", [0, -5])
-def test_verify_rejects_nonpositive_bundle_k_max(k_max):
-    obj = certificate_to_obj(certify_exceptional(15, 3))
-    obj["payload"]["k_max"] = k_max
-    assert verify_certificate_obj(obj) is False
+@pytest.mark.parametrize("k_max", [0, -5, 1, 10**9, "x", None])
+def test_verify_ignores_legacy_bundle_k_max(k_max):
+    """A 4.0 bundle's `k_max` is ignored, not trusted: any value, or
+    none, verifies at once; the checker derives k_max (2 for (10, 2))."""
+    obj = json.loads(SCHEMA_4_0_BUNDLE_10_2)
+    if k_max is None:
+        del obj["payload"]["k_max"]
+    else:
+        obj["payload"]["k_max"] = k_max
+    start = time.perf_counter()
+    assert verify_certificate_obj(obj) is True
+    assert time.perf_counter() - start < 1
 
 
 def _bound_piece(a, b, c):

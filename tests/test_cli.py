@@ -1,6 +1,5 @@
 """Command-line behavior: verdicts, exit codes, certificate files, rendering."""
 import copy
-import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -9,7 +8,6 @@ import pytest
 
 from seuclid import certs
 from seuclid.certs import (
-    MAX_BUNDLE_K_MAX,
     MAX_D,
     MAX_DISKS,
     MAX_GAP_LINE_PIECES,
@@ -179,12 +177,13 @@ def test_verify_bad_bundle_exit_3(tmp_path, capsys):
     good = json.loads(path.read_text())
     bad_alpha = json.loads(path.read_text())
     bad_alpha["payload"]["gap_lines"][0]["pieces"][0]["alpha"] = {"a": 0, "b": 1, "c": 3}
-    bad_k_max = dict(good, payload=dict(good["payload"], k_max=0))
-    for obj in (bad_alpha, bad_k_max):
-        path.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(["verify", str(path)]) == 3
-        assert "verification FAILED" in capsys.readouterr().out
+    path.write_text(json.dumps(bad_alpha))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert "verification FAILED" in capsys.readouterr().out
+    # a 4.0 file's k_max, even 0, is ignored: the checker derives it
+    path.write_text(json.dumps(dict(good, schema_version="4.0", payload=dict(good["payload"], k_max=0))))
+    assert main(["verify", str(path)]) == 0
 
 
 def _verify_with_pieces(pieces, tmp_path, capsys):
@@ -497,8 +496,10 @@ def test_verify_nonpositive_subdivision_depth_exit_3(depth, tmp_path, capsys):
     assert captured.err == ""
 
 
+# a bundle file holds no k_max since schema 5.0, and a legacy one is
+# ignored (test_certs.py::test_verify_ignores_legacy_bundle_k_max)
 @pytest.mark.parametrize("argv, field, value", [
-    (["10", "--s", "2"], "k_max", 10**9),
+    (["5", "--s", "2"], "k_max", 10**9),
     (["35", "--s", "7"], "subdivision_depth", 10**6),
     (["67", "--s", "2,3"], "k_max", 10**9),
 ])
@@ -589,7 +590,6 @@ def test_verify_over_count_limit_exit_3_at_once(argv, grow, cap, tmp_path, capsy
 def test_verify_built_ins_within_work_limits(tmp_path, capsys):
     certs = [certify_exceptional(d, p) for d, p in sorted(EXCEPTIONAL_PAIRS)]
     certs += [table_disk_certificate(p, subdivision_depth=500) for p in (5, 7)]
-    certs.append(dataclasses.replace(certify_exceptional(10, 2), k_max=MAX_BUNDLE_K_MAX))
     for i, cert in enumerate(certs):
         path = tmp_path / f"{i}.json"
         save_certificate(cert, str(path))

@@ -33,8 +33,9 @@ from seuclid.disks import (
     _outside_cells,
     _orbit_keeps_gaps_apart,
     _orbits,
-    _line_point,
-    _piece_bound,
+    _orbits_settle,
+    _bound_quadratic,
+    _point_holds,
     boost_radius,
     certify_exceptional,
     find_uncovered_cell,
@@ -50,8 +51,10 @@ from seuclid.exact import SSet, primes_below, s_part_strip, squarefree, surd_sig
 from surd_reference import (
     MIXED_COVER,
     _corner_inside,
+    _line_point,
     _mp_gap_line,
     _orbit_reference,
+    _piece_bound,
     _piece_span,
     _sweep_gap_line,
     end_sign,
@@ -502,15 +505,14 @@ def test_derived_bounds_are_the_papers(d, p):
 
 
 def test_derived_bound_of_zero_alpha():
-    # the bound a forged alpha = 0 piece gets: at least 1 at x = 0
-    assert _piece_bound(make_field(10), SSet.of(2), Fraction(1, 3), KElement(0, 0, 1, make_field(10))) == (
-        Fraction(1), Fraction(0), Fraction(10, 9),
+    # the quadratic a forged alpha = 0 piece gets: 9*x^2 + 1 is positive
+    # at x = 0, and 4*x^2 + 2*x is negative only on (-1/2, 0)
+    assert _bound_quadratic(make_field(10), SSet.of(2), Fraction(1, 3), KElement(0, 0, 1, make_field(10))) == (
+        9, 0, 1,
     )
     for p in (3, 5):
         fld = make_field(15)
-        assert _piece_bound(fld, SSet.of(p), Fraction(1, 2), fld.zero) == (
-            Fraction(1), Fraction(1, 2), Fraction(1),
-        )
+        assert _bound_quadratic(fld, SSet.of(p), Fraction(1, 2), fld.zero) == (4, 2, 0)
 
 
 def _coprime_to(s):
@@ -566,6 +568,38 @@ def test_derived_bound_is_sound(case):
     assert s_norm(_line_point(fld, x, y0) - alpha, s) <= a2 * x * x + a1 * x + a0
 
 
+@st.composite
+def _form_cases(draw):
+    """(field, S, y0, alpha, x) as _bound_cases draws them, but with
+    d = 3 drawn often, x = 0 and 1 among the points and any denominator
+    for x, and alpha = x + y0*w itself (where F = 0) among the alphas."""
+    fld, s, y0, alpha, _ = draw(_bound_cases())
+    if draw(st.booleans()):
+        fld = make_field(3)
+        alpha = KElement(alpha.a, alpha.b, alpha.c, fld)
+    x = draw(st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1)]),
+        st.fractions(min_value=-2, max_value=3, max_denominator=60),
+    ))
+    if draw(st.booleans()):
+        alpha = _line_point(fld, x, y0)
+    return fld, s, y0, alpha, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(_form_cases())
+def test_integer_form_matches_the_fraction_reference(case):
+    """The integer quadratic of a bound piece is a positive multiple of
+    the reference (a2, a1, a0 - 1), and a point piece holds exactly when
+    the reference's S-norm is below 1."""
+    fld, s, y0, alpha, x = case
+    a2, a1, a0 = _piece_bound(fld, s, y0, alpha)
+    A, B, C = _bound_quadratic(fld, s, y0, alpha)
+    scale = A / a2
+    assert scale > 0 and (B, C) == (scale * a1, scale * (a0 - 1))
+    assert _point_holds(fld, s, y0, x, alpha) == (s_norm(_line_point(fld, x, y0) - alpha, s) < 1)
+
+
 def test_gap_line_rejects_alpha_outside_o_s():
     fld, s = make_field(10), SSet.of(2)
     cert = gap_line_certificate(10, 2)
@@ -588,8 +622,6 @@ def test_gap_line_point_checks_are_tight():
         fld = make_field(15)
         s = SSet.of(p)
         cert = gap_line_certificate(15, p)
-        from seuclid.disks import PointPiece, _line_point
-
         points = [pc for pc in cert.pieces if isinstance(pc, PointPiece)]
         assert len(points) == 3
         for pc in points:
@@ -621,7 +653,7 @@ def test_certify_exceptional_dispatch():
     bundle = certify_exceptional(10, 2)
     assert isinstance(bundle, ExceptionalBundle)
     assert [line.y0 for line in bundle.gap_lines] == [Fraction(1, 3)]
-    assert len(residual(make_field(10), SSet.of(2), bundle.k_max).gaps) == 2
+    assert len(residual(make_field(10), SSet.of(2), 2).gaps) == 2
     cert = certify_exceptional(35, 7)
     assert isinstance(cert, DiskCertificate)
     assert len(cert.disks) == 20
@@ -637,12 +669,16 @@ def test_exceptional_bundle_rejects_tampering():
     moved = replace(bundle.gap_lines[0], y0=Fraction(1, 4))
     assert not verify_exceptional_bundle(replace(bundle, gap_lines=(moved,)))
     assert not verify_exceptional_bundle(replace(bundle, gap_lines=()))
-    # any k_max whose residual gaps each hold one gap rational is a proof
-    assert verify_exceptional_bundle(replace(bundle, k_max=27))
-    # at k_max 1 one gap of (10, 2) holds both 1/3 and 2/3
-    bundle10 = certify_exceptional(10, 2)
-    assert len(residual(make_field(10), SSet.of(2), 1).gaps) == 1
-    assert not verify_exceptional_bundle(replace(bundle10, k_max=1))
+
+
+@pytest.mark.parametrize("d, p, k_max", [(10, 2, 2), (15, 3, 1), (15, 5, 1)])
+def test_built_in_bundles_settle_first_at(d, p, k_max):
+    """The k_max the checker derives: the first power of p whose
+    residual gaps the lines' orbits settle.  At k_max 1 the one gap of
+    (10, 2) holds both 1/3 and 2/3."""
+    ys = [line.y0 for line in certify_exceptional(d, p).gap_lines]
+    powers = [p**i for i in range(13) if p**i <= disks.MAX_BUNDLE_K_MAX]
+    assert [k for k in powers if _orbits_settle(make_field(d), p, ys, k)][0] == k_max
 
 
 @pytest.mark.parametrize(
@@ -652,8 +688,9 @@ def test_exceptional_bundle_rejects_tampering():
 def test_built_in_bundles_pass_the_orbit_check(d, p, k_maxes):
     bundle = certify_exceptional(d, p)
     assert verify_exceptional_bundle(bundle)
+    ys = [line.y0 for line in bundle.gap_lines]
     for k_max in k_maxes:
-        assert verify_exceptional_bundle(replace(bundle, k_max=k_max)), k_max
+        assert _orbits_settle(make_field(d), p, ys, k_max), k_max
 
 
 @pytest.mark.parametrize("d, p, rationals", [
@@ -663,9 +700,10 @@ def test_built_in_bundles_pass_the_orbit_check(d, p, k_maxes):
 ])
 def test_gap_rationals_are_the_orbits_of_the_lines(d, p, rationals):
     """The sets that schema 3.0 stored as gap_rationals, derived from
-    the built-in lines, one per residual gap."""
+    the built-in lines, one per residual gap at the k_max that schema
+    4.0 stored."""
     bundle = certify_exceptional(d, p)
-    gaps = residual(make_field(d), SSet.of(p), bundle.k_max).gaps
+    gaps = residual(make_field(d), SSet.of(p), {2: 64, 3: 81, 5: 125}[p]).gaps
     assert _orbits(p, [line.y0 for line in bundle.gap_lines], len(gaps)) == rationals
     assert len(gaps) == len(rationals)
 
@@ -762,7 +800,7 @@ def test_bundle_check_builds_no_surd_value(monkeypatch):
     at = covers_unit(ivs, d=10, s=SSet.of(2)).at
     assert at == residual(make_field(10), SSet.of(2), 64).gaps[0][0]
     for bundle in bundles:
-        gaps = residual(make_field(bundle.d), SSet.of(bundle.p), bundle.k_max).gaps
+        gaps = residual(make_field(bundle.d), SSet.of(bundle.p), bundle.p**3).gaps
         assert len(gaps) == len(_orbits(bundle.p, [line.y0 for line in bundle.gap_lines], len(gaps)))
         assert verify_exceptional_bundle(bundle)
 
