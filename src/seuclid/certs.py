@@ -48,13 +48,17 @@ _READABLE_VERSIONS = ("1.0", "2.0", "3.0", "4.0", SCHEMA_VERSION)  # keys a late
 # each of its depth + 1 columns, and a gap line of n pieces takes at
 # most (2*n + 2)^2 integer sign tests.  A d or prime of s over MAX_D is
 # a parse error before the trial divisions of `squarefree` and
-# `is_prime`, and a file over MAX_FILE_BYTES before any parsing, after
-# reading at most one byte more (the producer's largest file, the cover
-# of d = 999,994, takes 21.1 MB from `save_certificate`).
+# `is_prime`, and so is an a, b, c, num or den of 2^MAX_INT_BITS or more
+# in absolute value before any arithmetic on it (a disk's corner ranges
+# and a gap line's integral form grow with those sizes; the producer's
+# stay far below the cap).  A file over MAX_FILE_BYTES fails before any
+# parsing, after reading at most one byte more (the producer's largest
+# file, the cover of d = 999,994, takes 21.1 MB from `save_certificate`).
 MAX_SUBDIVISION_DEPTH = 1000
 MAX_DISKS = 256
 MAX_GAP_LINE_PIECES = 256
 MAX_D = 10**6
+MAX_INT_BITS = 64
 MAX_FILE_BYTES = 32 * 2**20
 
 __all__ = [
@@ -64,6 +68,7 @@ __all__ = [
     "MAX_DISKS",
     "MAX_GAP_LINE_PIECES",
     "MAX_D",
+    "MAX_INT_BITS",
     "MAX_FILE_BYTES",
     "CertificateParseError",
     "certificate_to_obj",
@@ -90,11 +95,19 @@ def _typed(value: Any, kind: type, name: str) -> Any:
     return value
 
 
+def _bounded(n: int, name: str) -> int:
+    """`n` if |n| < 2^MAX_INT_BITS."""
+    if n.bit_length() > MAX_INT_BITS:
+        raise CertificateParseError(f"{name} has {n.bit_length()} bits, over MAX_INT_BITS = {MAX_INT_BITS}")
+    return n
+
+
 def _read_frac(obj: Any) -> Fraction:
     """{num, den}: integer strings in canonical form, str(int(t)) == t,
-    with den >= 1."""
+    with den >= 1, each below 2^MAX_INT_BITS in absolute value."""
     try:
-        num, den = int(_typed(obj["num"], str, "num")), int(_typed(obj["den"], str, "den"))
+        num = _bounded(int(_typed(obj["num"], str, "num")), "num")
+        den = _bounded(int(_typed(obj["den"], str, "den")), "den")
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateParseError(f"bad rational: {obj!r}") from exc
     if str(num) != obj["num"] or str(den) != obj["den"] or den < 1:
@@ -107,7 +120,7 @@ def _elem(x: KElement) -> dict[str, int]:
 
 
 def _read_elem(obj: Any, fld: QuadField) -> KElement:
-    return KElement(*(_typed(obj[key], int, key) for key in "abc"), fld)
+    return KElement(*(_bounded(_typed(obj[key], int, key), key) for key in "abc"), fld)
 
 
 Certificate = CoverCertificate | DiskCertificate | WitnessCertificate | ExceptionalBundle

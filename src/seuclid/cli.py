@@ -10,6 +10,7 @@ import sys
 
 from . import __version__
 from .certs import (
+    MAX_D,
     CertificateParseError,
     canonical_json,
     load_certificate_obj,
@@ -29,6 +30,14 @@ EXIT_UNKNOWN = 2
 EXIT_INVALID = 3
 
 
+def _upto_max_d(n: int, name: str) -> int:
+    """`n` if it is at most MAX_D, which keeps the trial divisions of
+    `squarefree` and `is_prime` short, as the file parser does."""
+    if n > MAX_D:
+        raise ValueError(f"{name} = {n} exceeds MAX_D = {MAX_D}")
+    return n
+
+
 def _parse_s(text: str | None) -> SSet:
     if not text:
         return SSet()
@@ -36,11 +45,11 @@ def _parse_s(text: str | None) -> SSet:
         primes = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"cannot parse prime list {text!r}") from exc
-    return SSet.from_iterable(primes)
+    return SSet.from_iterable(_upto_max_d(p, "a prime of --s") for p in primes)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    d, s = args.d, _parse_s(args.s)
+    d, s = _upto_max_d(args.d, "d"), _parse_s(args.s)
     verdict = decide(d, s)
     label = {
         "euclidean-cover": "Euclidean",
@@ -80,7 +89,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    verdict = decide(args.d, _parse_s(args.s))
+    verdict = decide(_upto_max_d(args.d, "d"), _parse_s(args.s))
     if verdict.certificate is None:
         print(f"no certificate to render: {verdict.reason}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -100,8 +109,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    d = args.d
-    if not is_prime(args.p):
+    d = _upto_max_d(args.d, "d")
+    if not is_prime(_upto_max_d(args.p, "p")):
         raise ValueError(f"{args.p} is not prime")
     dispatch = witness_bound(d, args.p)
     if isinstance(dispatch, Verdict):
@@ -158,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CertificateParseError) as exc:
+    except (ValueError, OSError, CertificateParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

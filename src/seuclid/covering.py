@@ -1,21 +1,19 @@
 """Positive certification by interval covering.
 
 Builds the interval family I_j^k = ((j - sqrt(3/D))/k, (j + sqrt(3/D))/k)
-for S-smooth k, checks exact coverage of the closed unit interval,
-certifies covers and computes the uncovered residual gaps used in the
-exceptional-case analysis.  A cover exists iff D < 3*q^2 (q the
-smallest prime not in S), and then its minimal k_max is
-k0 = theorem2_bound - 1 and the Farey family of order k0 covers (proof
-in `certify_euclidean`), so the certificate needs no search.  Exact
-integer endpoint keys order the family, and one greedy sweep over those
-keys (`_key_chain`) builds every cover chain, the certificate's and
-`covers_unit`'s.  The keys compare exactly as the endpoints do, so
-`residual` reads the uncovered gaps off the same sorted keys too.  Its
-gap ends, like a failed `covers_unit`'s first uncovered point, are
-integer ends (a, b, c) = (a + b*sqrt(3/D))/c, the reach format of
-`replay_chain`, which `exact.surd_sign` compares.  `seuclid verify`
-replays each chain with `replay_chain`, exact integer sign tests on
-(j, k, D) that share no ordering code with the keys.
+for S-smooth k and asks whether it covers the closed unit interval.  A
+cover exists iff D < 3*q^2 (q the smallest prime not in S), and then its
+minimal k_max is k0 = theorem2_bound - 1 and the Farey family of order
+k0 covers (proof in `certify_euclidean`), so the certificate needs no
+search.  Exact integer endpoint keys order the family, and one greedy
+sweep over those keys (`_key_sweep`) answers every question asked of it:
+its chain is the cover certificate, its first gap the first uncovered
+point of a failed `covers_unit`, and its gaps the residual that the
+exceptional gap lines must cover.  Gap ends are integer ends
+(a, b, c) = (a + b*sqrt(3/D))/c, the reach format of `replay_chain`,
+which `exact.surd_sign` compares.  `seuclid verify` replays each chain
+with `replay_chain`, exact integer sign tests on (j, k, D) that share
+no ordering code with the keys.
 
 Produced chains share their links: every certificate that links I_j^k
 holds the same (j, k) tuple, from one table (`_LINKS`).  A Theorem-2
@@ -131,23 +129,15 @@ def _endpoint_keys(D: int, x: int) -> tuple[int, int, int]:
     return B, f, c
 
 
-def _keyed_intervals_of(k: int, B: int, f: int, c: int):
-    """The I_j^k of one k (0 <= j <= k, gcd(j, k) = 1, in increasing j)
-    as (lo_key, k, j, hi_key) tuples, keys from `_endpoint_keys(D, x)`
-    with k <= x: tuple order is the left-end order, with ties (D = 3
-    only) by k, then j."""
-    return (
-        (((j << B) - c) // k, k, j, ((j << B) + f) // k)
-        for j in range(k + 1)
-        if math.gcd(j, k) == 1
-    )
-
-
 def _keyed_family(D: int, ks: range | list[int]) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """B and the sorted (lo_key, k, j, hi_key) tuples of every I_j^k with
-    k in the ascending sequence `ks`, keys from `_endpoint_keys(D, ks[-1])`."""
+    """B and the sorted (lo_key, k, j, hi_key) tuples of every I_j^k
+    (0 <= j <= k, gcd(j, k) = 1) with k in the ascending sequence `ks`,
+    keys from `_endpoint_keys(D, ks[-1])`: tuple order is the left-end
+    order, with ties (D = 3 only) by k, then j."""
     B, f, c = _endpoint_keys(D, ks[-1])
-    return B, sorted(iv for k in ks for iv in _keyed_intervals_of(k, B, f, c))
+    return B, sorted(
+        (((j << B) - c) // k, k, j, ((j << B) + f) // k) for k in ks for j in range(k + 1) if math.gcd(j, k) == 1
+    )
 
 
 def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
@@ -158,43 +148,60 @@ def intervals(fld: QuadField, s: SSet, k_max: int) -> list[Interval]:
     return [Interval.make(j, k, fld.D) for _, k, j, _ in _keyed_family(fld.D, s.smooth_upto(k_max))[1]]
 
 
-def _key_chain(family: list[tuple[int, int, int, int]], one: int) -> list[tuple[int, int, int, int]]:
-    """The greedy chain of a key-sorted (lo_key, k, j, hi_key) family,
-    swept from 0 up to the key `one` of 1.
+def _key_sweep(
+    family: list[tuple[int, int, int, int]], one: int
+) -> tuple[list[tuple[int, int, int, int]], list[tuple[End, End]]]:
+    """The greedy chain and the maximal closed uncovered gaps of [0, 1]
+    of a key-sorted (lo_key, k, j, hi_key) family, `one` the key of 1.
 
-    The reach starts at 0, which must lie strictly inside some interval;
-    each link is the first interval with the largest hi_key among those
-    whose lo_key lies below the reach, and its hi_key is the next reach.
-    The chain covers [0, 1] iff its last reach passes `one`; otherwise
-    that reach (0 with no link) is the first uncovered point.
+    [0, reach) is covered, the reach 0 at first.  When an interval starts
+    at or past the reach, the first interval with the largest hi_key so
+    far becomes a link if it raises the reach, and its hi_key is the next
+    reach.  An interval that still starts at or past the reach leaves the
+    gap [reach, its left end], one point when the two are equal, as the
+    intervals are open.  The sweep stops once the reach passes `one`; a
+    reach that never does leaves the gap [reach, 1].  So the family
+    covers [0, 1] iff there is no gap, and then the chain is its cover.
+    Each gap end is read off the interval that sets it: 0 or the last
+    link's (j, 1, k), then (j, -1, k) or 1.
     """
-    chain = []
-    reach = 0
-    best = None
+    chain, gaps = [], []
+    reach, best = 0, (0, 0, 0, 0)  # a stand-in whose hi_key 0 raises no reach
     for iv in family:
         if iv[0] >= reach:
-            if best is None or best[3] <= reach:
-                return chain
-            chain.append(best)
-            reach = best[3]
-            if reach > one or iv[0] >= reach:
-                return chain
-        if best is None or iv[3] > best[3]:
+            if best[3] > reach:
+                chain.append(best)
+                reach = best[3]
+                if reach > one:
+                    return chain, gaps
+            if iv[0] >= reach:
+                if iv[0] > one:
+                    break
+                gaps.append((_reach_end(chain), (iv[2], -1, iv[1])))
+        if iv[3] > best[3]:
             best = iv
-    if best is not None and best[3] > reach:
+    if best[3] > reach:
         chain.append(best)
-    return chain
+        reach = best[3]
+    if reach <= one:
+        gaps.append((_reach_end(chain), (1, 0, 1)))
+    return chain, gaps
+
+
+def _reach_end(chain: list[tuple[int, int, int, int]]) -> End:
+    """The reach of a key chain as an end: 0, or its last link's right end."""
+    if not chain:
+        return (0, 0, 1)
+    _, k, j, _ = chain[-1]
+    return (j, 1, k)
 
 
 def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCertificate | Verdict:
     """Greedy cover of the closed interval [0, 1] by `ivs`, in order of
-    left end (ties keep increasing k, then j).
-
-    The chain comes from `_key_chain` on exact integer endpoint keys,
-    which compare as the endpoints do for any j and k >= 1; `seuclid
-    verify` replays it with `replay_chain`.  A failure's `at` is the
-    first uncovered point: 0, or the right end of the last link.
-    """
+    left end (ties keep increasing k, then j): the `_key_sweep` chain when
+    it leaves no gap, else an "unknown" Verdict whose `at` is the first
+    gap's left end, the first uncovered point.  Keys are bounded by the
+    largest k and |j|, so any j works."""
     if not ivs:
         return Verdict("unknown", None, "no intervals to cover [0, 1]")
     D = ivs[0].D
@@ -202,13 +209,14 @@ def covers_unit(ivs: list[Interval], *, d: int = 0, s: SSet = SSet()) -> CoverCe
         raise ValueError("intervals of different discriminants")
     B, f, c = _endpoint_keys(D, max(max(iv.k, abs(iv.j)) for iv in ivs))
     family = sorted((((iv.j << B) - c) // iv.k, iv.k, iv.j, ((iv.j << B) + f) // iv.k) for iv in ivs)
-    chain = _key_chain(family, 1 << B)
-    if chain and chain[-1][3] > 1 << B:
+    chain, gaps = _key_sweep(family, 1 << B)
+    if not gaps:
         return _certificate(chain, d, s)
-    if not chain:
-        return Verdict("unknown", None, "first uncovered point 0", at=(0, 0, 1))
-    _, k, j, _ = chain[-1]
-    return Verdict("unknown", None, f"first uncovered point ({j} + sqrt(3/{D}))/{k}", at=(j, 1, k))
+    at = gaps[0][0]
+    if at == (0, 0, 1):
+        return Verdict("unknown", None, "first uncovered point 0", at=at)
+    j, _, k = at
+    return Verdict("unknown", None, f"first uncovered point ({j} + sqrt(3/{D}))/{k}", at=at)
 
 
 # the shared producer links: _LINKS[k][j] is the one (j, k) tuple
@@ -292,10 +300,9 @@ def certify_euclidean(fld: QuadField, s: SSet) -> CoverCertificate | Verdict:
     order k0 have h'*k - h*k' = 1 and k + k' >= k0 + 1 (Hardy-Wright,
     ch. III), so I_h^k and I_h'^k' overlap iff r*(k + k') > 1, i.e.
     3*(k + k')^2 > D, which holds as k + k' >= theorem2_bound(fld); and
-    I_0^1, I_1^1 hold 0 and 1.  One `_key_chain` sweep of that family,
-    sorted by exact integer endpoint keys, gives the certificate, the
-    chain `covers_unit` returns on `intervals(fld, s, k0)`; `seuclid
-    verify` replays it with `replay_chain`.
+    I_0^1, I_1^1 hold 0 and 1.  The `_key_sweep` chain of that family
+    is the certificate, the one `covers_unit` returns on
+    `intervals(fld, s, k0)`.
 
     That chain is the Farey sequence F_k0 in increasing order.  Along
     F_k0 both ends of I_h^k strictly increase: for neighbours h/k < h'/k'
@@ -314,35 +321,14 @@ def certify_euclidean(fld: QuadField, s: SSet) -> CoverCertificate | Verdict:
     if fld.D > 3 * q * q:
         return Verdict("unknown", None, f"D = {fld.D} exceeds 3*q^2 = {3 * q * q} for q = {q}")
     B, family = _keyed_family(fld.D, range(1, theorem2_bound(fld)))
-    return _certificate(_key_chain(family, 1 << B), fld.d, s)
+    return _certificate(_key_sweep(family, 1 << B)[0], fld.d, s)
 
 
 def residual(fld: QuadField, s: SSet, k_max: int) -> Residual:
     """Exact maximal closed gaps of [0, 1] left uncovered by the open
-    intervals with S-smooth k <= k_max, sorted left to right.
-
-    One pass over the key-sorted family, whose keys compare exactly as
-    the endpoints do, 0 and 1 included (`_endpoint_keys`).  [0, reach)
-    is covered, reach the largest right end so far (0 at first); an
-    interval whose left end is not below it leaves the gap [reach, left
-    end], one point when the two are equal, as the intervals are open.
-    Each end is read off the interval that sets it: the reach is 0 or a
-    right end (j, 1, k), a gap closes at a left end (j, -1, k) or at 1.
-    """
+    intervals with S-smooth k <= k_max, sorted left to right: the
+    `_key_sweep` gaps of their key-sorted family."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    D = fld.D
-    B, family = _keyed_family(D, s.smooth_upto(k_max))
-    one = 1 << B
-    gaps = []
-    reach, end = 0, (0, 0, 1)  # the reach's key and its end
-    for lo, k, j, hi in family:
-        if lo >= reach:
-            if lo > one:
-                break
-            gaps.append((end, (j, -1, k)))
-        if hi > reach:
-            reach, end = hi, (j, 1, k)
-    if reach <= one:
-        gaps.append((end, (1, 0, 1)))
-    return Residual(D, tuple(gaps))
+    B, family = _keyed_family(fld.D, s.smooth_upto(k_max))
+    return Residual(fld.D, tuple(_key_sweep(family, 1 << B)[1]))

@@ -11,6 +11,7 @@ from seuclid.certs import (
     MAX_D,
     MAX_DISKS,
     MAX_GAP_LINE_PIECES,
+    MAX_INT_BITS,
     MAX_SUBDIVISION_DEPTH,
     save_certificate,
 )
@@ -618,6 +619,60 @@ def test_verify_huge_d_or_prime_exit_1_at_once(forge, tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     assert time.perf_counter() - start < 1
     assert str(MAX_D) in capsys.readouterr().err
+
+
+def _pad_disks(payload):
+    """20 more disks with 3,991-digit a and b, c = 7^2500, r^2 = 1/c^2."""
+    c = 7**2500
+    big = 10**3990 + 1
+    payload["disks"] += [
+        {"a": big + i, "b": big - i, "c": c, "r_squared": {"num": "1", "den": str(c * c)}} for i in range(20)
+    ]
+
+
+def _first_alpha_a(a):
+    return lambda payload: payload["gap_lines"][0]["pieces"][0]["alpha"].update(a=a)
+
+
+def _first_den(den):
+    return lambda payload: payload["disks"][0].update(r_squared={"num": "1", "den": str(den)})
+
+
+@pytest.mark.parametrize("argv, mutate, code", [
+    (["35", "--s", "7"], _pad_disks, 1),
+    (["10", "--s", "2"], _first_alpha_a(10**29 + 7), 1),
+    (["10", "--s", "2"], _first_alpha_a(-(2**MAX_INT_BITS)), 1),
+    (["10", "--s", "2"], _first_alpha_a(2**MAX_INT_BITS - 1), 3),
+    (["35", "--s", "7"], _first_den(2**MAX_INT_BITS), 1),
+], ids=["disk file padded with 20 huge disks", "alpha of 30 digits", "alpha = -2^64", "alpha = 2^64 - 1",
+        "r_squared den = 2^64"])
+def test_verify_huge_integers_exit_1_at_once(argv, mutate, code, tmp_path, capsys):
+    # any a, b, c, num or den of 2^MAX_INT_BITS or more in absolute value
+    # is a parse error before any arithmetic on it: corner ranges on the
+    # padded disks alone would take seconds
+    start = time.perf_counter()
+    _verify_forgery(argv, lambda obj: mutate(obj["payload"]), code, tmp_path, capsys)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "5", "--s", "2", "--cert", "{tmp}/missing/c.json"],
+    ["render", "5", "--s", "2", "-o", "{tmp}/missing/x.svg"],
+    ["check", "5", "--s", str(2**61 - 1)],
+    ["check", str(2**61 - 1), "--s", "2"],
+    ["render", str(2**61 - 1), "--s", "2", "-o", "{tmp}/x.svg"],
+    ["oracle", "5", str(2**61 - 1)],
+    ["oracle", str(2**61 - 1), "2"],
+])
+def test_cli_arguments_exit_1_at_once(argv, tmp_path, capsys):
+    # an unwritable output path, and a d, p or prime of --s past MAX_D
+    # (2^61 - 1 is prime: trial division of it would not end), give
+    # "error: ..." and exit 1, never a traceback or a hang
+    start = time.perf_counter()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.out + captured.err
 
 
 def test_verify_file_over_byte_cap_exit_1(tmp_path, monkeypatch, capsys):

@@ -15,6 +15,7 @@ from seuclid import covering
 from seuclid.covering import (
     CoverCertificate,
     Interval,
+    Residual,
     Verdict,
     covers_unit,
     certify_euclidean,
@@ -77,19 +78,19 @@ def test_intervals_order_is_the_stable_surd_sort(d):
 def test_interval_keys_are_floors(d):
     # each key is floor(2^B * endpoint), next to the Interval it stands for
     D = make_field(d).D
-    B, f, c = covering._endpoint_keys(D, 40)
-    for k in range(1, 41):
-        ivs = [Interval.make(j, k, D) for j in range(k + 1) if math.gcd(j, k) == 1]
-        pairs = zip(covering._keyed_intervals_of(k, B, f, c), ivs, strict=True)
-        for (lo_key, m, j, hi_key), iv in pairs:
-            assert (j, m) == (iv.j, iv.k)
-            for key, v in ((lo_key, iv.lo), (hi_key, iv.hi)):
-                assert Fraction(key, 1 << B) <= v < Fraction(key + 1, 1 << B)
+    B, family = covering._keyed_family(D, range(1, 41))
+    assert sorted((k, j) for _, k, j, _ in family) == [
+        (k, j) for k in range(1, 41) for j in range(k + 1) if math.gcd(j, k) == 1
+    ]
+    for lo_key, k, j, hi_key in family:
+        iv = Interval.make(j, k, D)
+        for key, v in ((lo_key, iv.lo), (hi_key, iv.hi)):
+            assert Fraction(key, 1 << B) <= v < Fraction(key + 1, 1 << B)
 
 
 def _key(j, s, k, B, f, c):
     """floor(2^B * v) for v = (j + s*sqrt(3/D))/k, by the formulas of
-    covering._keyed_intervals_of."""
+    covering._keyed_family."""
     return ((j << B) + (f if s > 0 else -c if s < 0 else 0)) // k
 
 
@@ -139,12 +140,15 @@ def test_key_search_stops_at_the_first_covering_k(d, s):
 
 
 def test_key_chain_keeps_the_furthest_end():
-    # a nested interval does not pull the reach back, and the sweep
-    # stops at the first interval that starts at or beyond the reach
+    # a nested interval does not pull the reach back, and the first
+    # interval that starts at the reach, key 20, leaves a one-point gap
+    # there: the right end of family[2], where family[3] starts
     family = [(-5, 1, 0, 10), (1, 3, 1, 3), (8, 2, 1, 20), (20, 1, 1, 30)]
-    chain = covering._key_chain(family, 100)
-    assert chain == [family[0], family[2]]
-    assert chain[-1][3] == 20
+    chain, gaps = covering._key_sweep(family, 100)
+    assert chain[:2] == [family[0], family[2]]
+    assert gaps[0] == ((1, 1, 2), (1, -1, 1))
+    # an interval that starts past 1 (key 100) leaves the last gap at 1
+    assert covering._key_sweep([family[0], (150, 1, 2, 170)], 100)[1] == [((0, 1, 1), (1, 0, 1))]
 
 
 def _surd_greedy(ivs):
@@ -189,12 +193,17 @@ def _check_against_surd_greedy(ivs, d, s):
 def test_key_greedy_matches_surd_greedy_on_subsets(d, primes, k_max, drop, rnd):
     """covers_unit on a random subset of intervals(fld, s, k_max), which
     can leave gaps anywhere, gives the surd-only greedy's verdict, chain
-    and first uncovered point; d = 3 has tied left ends."""
+    and first uncovered point, and the sweep's gaps of that subset are
+    its maximal uncovered pieces; d = 3 has tied left ends."""
     fld = make_field(d)
     s = SSet.from_iterable(primes)
-    ivs = [iv for iv in intervals(fld, s, k_max) if rnd.random() >= drop]
+    B, family = covering._keyed_family(fld.D, s.smooth_upto(k_max))
+    family = [iv for iv in family if rnd.random() >= drop]
+    ivs = [Interval.make(j, k, fld.D) for _, k, j, _ in family]
     if ivs:
         _check_against_surd_greedy(ivs, d, s)
+    gaps = covering._key_sweep(family, 1 << B)[1]
+    _check_maximal_gaps(surd_gaps(Residual(fld.D, tuple(gaps))), ivs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,6 +217,7 @@ def test_key_greedy_matches_surd_greedy_on_subsets(d, primes, k_max, drop, rnd):
         max_size=40,
     ),
 )
+@example(1, [(0, 1), (1, 1), (2, 1)])  # I_2^1 starts below the final reach and ends past it
 def test_covers_unit_keys_any_j(d, pairs):
     """covers_unit keys intervals with j outside [0, k] too: its key bound
     grows with max |j|, so it still matches the surd-only greedy."""
@@ -568,12 +578,11 @@ def test_sweep_properties(d, primes, k_max):
     res = residual(fld, s, k_max)
     gaps = surd_gaps(res)
     assert (gaps == ()) == isinstance(result, CoverCertificate)
-    zero, one = SurdValue.rational(0), SurdValue.rational(1)
     if isinstance(result, CoverCertificate):
         assert replay_chain(fld.D, list(result.chain))
         # greedy: each link is the first interval starting below the reach
         # with the largest right end
-        reach = zero
+        reach = SurdValue.rational(0)
         for link in result.chain:
             best = None
             for iv in ivs:
@@ -583,6 +592,13 @@ def test_sweep_properties(d, primes, k_max):
             reach = best.hi
     else:
         assert result.at == res.gaps[0][0]
+    _check_maximal_gaps(gaps, ivs)
+
+
+def _check_maximal_gaps(gaps, ivs):
+    """The gaps, pairs of SurdValues, are sorted, disjoint, maximal
+    uncovered pieces of [0, 1] for the intervals `ivs`."""
+    zero, one = SurdValue.rational(0), SurdValue.rational(1)
     for (_, hi), (lo, _) in zip(gaps, gaps[1:]):
         assert surd_cmp(hi, lo) < 0
     for lo, hi in gaps:
